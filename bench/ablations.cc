@@ -60,16 +60,16 @@ fuzzFinalEdges(const kern::Kernel &kernel, const core::Pmm &model,
 {
     RunningStat edges;
     for (uint64_t seed : {51ull, 52ull, 53ull}) {
-        auto opts = spbench::evalFuzzOptions(spbench::kDayInExecs / 3,
+        fuzz::CampaignOptions opts;
+        opts.fuzz = spbench::evalFuzzOptions(spbench::kDayInExecs / 3,
                                              seed);
-        opts.max_sites_per_base = max_sites;
+        opts.fuzz.max_sites_per_base = max_sites;
         // The §3.4 fallback knob lives on the loop's decision policy
         // now, not on the localizer.
-        opts.policy.pmm_fallback_prob = fallback_prob;
-        core::SnowplowOptions snow = spbench::evalSnowplowOptions();
-        auto fuzzer =
-            core::makeSnowplowFuzzer(kernel, model, opts, snow);
-        edges.add(static_cast<double>(fuzzer->run().final_edges));
+        opts.fuzz.policy.pmm_fallback_prob = fallback_prob;
+        auto engine = core::makeSnowplowCampaign(
+            kernel, model, opts, spbench::evalSnowplowOptions());
+        edges.add(static_cast<double>(engine->run().final_edges));
     }
     return edges.mean();
 }
@@ -124,12 +124,13 @@ runPolicySweep(const char *out_path)
         kPolicyModeCount);
     for (size_t m = 0; m < kPolicyModeCount; ++m) {
         for (const uint64_t seed : seeds) {
-            auto opts = spbench::evalFuzzOptions(budget, seed);
-            opts.policy.kind = kPolicyModes[m].kind;
-            opts.policy.pmm_fallback_prob =
+            fuzz::CampaignOptions opts;
+            opts.fuzz = spbench::evalFuzzOptions(budget, seed);
+            opts.fuzz.policy.kind = kPolicyModes[m].kind;
+            opts.fuzz.policy.pmm_fallback_prob =
                 kPolicyModes[m].fallback_prob;
-            auto fuzzer = core::makeSnowplowFuzzer(kernel, model, opts);
-            const auto report = fuzzer->run();
+            const auto report =
+                core::makeSnowplowCampaign(kernel, model, opts)->run();
             if (grid.empty()) {
                 for (const auto &point : report.timeline)
                     grid.push_back(point.execs);

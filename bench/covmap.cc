@@ -22,9 +22,8 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "core/snowplow.h"
 #include "exec/executor.h"
-#include "fuzz/fuzzer.h"
-#include "mutate/localizer.h"
 #include "obs/covmap.h"
 #include "prog/gen.h"
 #include "util/rng.h"
@@ -62,12 +61,10 @@ BM_CovmapOverhead(benchmark::State &state)
     const auto &kernel = benchKernel();
     for (auto _ : state) {
         auto covmap = enabled ? makeCovMap(1) : nullptr;
-        fuzz::FuzzOptions opts = spbench::evalFuzzOptions(
-            kCampaignBudget, /*seed=*/9);
-        opts.covmap = covmap.get();
-        fuzz::Fuzzer fuzzer(kernel, opts,
-                            std::make_unique<mut::RandomLocalizer>());
-        auto report = fuzzer.run();
+        fuzz::CampaignOptions opts;
+        opts.fuzz = spbench::evalFuzzOptions(kCampaignBudget, /*seed=*/9);
+        opts.fuzz.covmap = covmap.get();
+        auto report = core::makeSyzkallerCampaign(kernel, opts)->run();
         if (covmap != nullptr)
             covmap->finalize(report.execs);
         benchmark::DoNotOptimize(report.final_edges);

@@ -155,9 +155,9 @@ BM_FuzzThroughputSyzkaller(benchmark::State &state)
 {
     const auto &kernel = fixtures().kernel;
     for (auto _ : state) {
-        auto opts = spbench::evalFuzzOptions(4000, 9);
-        auto fuzzer = core::makeSyzkallerFuzzer(kernel, opts);
-        auto report = fuzzer->run();
+        fuzz::CampaignOptions opts;
+        opts.fuzz = spbench::evalFuzzOptions(4000, 9);
+        auto report = core::makeSyzkallerCampaign(kernel, opts)->run();
         benchmark::DoNotOptimize(report.final_edges);
     }
     state.SetItemsProcessed(
@@ -173,10 +173,12 @@ BM_FuzzThroughputSnowplow(benchmark::State &state)
     const auto &kernel = fixtures().kernel;
     const auto &model = spbench::sharedPmm();
     for (auto _ : state) {
-        auto opts = spbench::evalFuzzOptions(4000, 9);
-        auto fuzzer = core::makeSnowplowFuzzer(
-            kernel, model, opts, spbench::evalSnowplowOptions());
-        auto report = fuzzer->run();
+        fuzz::CampaignOptions opts;
+        opts.fuzz = spbench::evalFuzzOptions(4000, 9);
+        auto report =
+            core::makeSnowplowCampaign(kernel, model, opts,
+                                       spbench::evalSnowplowOptions())
+                ->run();
         benchmark::DoNotOptimize(report.final_edges);
     }
     state.SetItemsProcessed(

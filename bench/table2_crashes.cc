@@ -30,16 +30,17 @@ CampaignTally
 runCampaign(const sp::kern::Kernel &kernel, bool snowplow, uint64_t seed,
             uint64_t budget)
 {
-    auto opts = spbench::evalFuzzOptions(budget, seed);
-    auto fuzzer = snowplow
-                      ? sp::core::makeSnowplowFuzzer(
+    sp::fuzz::CampaignOptions opts;
+    opts.fuzz = spbench::evalFuzzOptions(budget, seed);
+    auto engine = snowplow
+                      ? sp::core::makeSnowplowCampaign(
                             kernel, spbench::sharedPmm(), opts,
                             spbench::evalSnowplowOptions())
-                      : sp::core::makeSyzkallerFuzzer(kernel, opts);
-    fuzzer->run();
+                      : sp::core::makeSyzkallerCampaign(kernel, opts);
+    engine->run();
     CampaignTally tally;
-    tally.new_crashes = fuzzer->crashes().newCrashes();
-    tally.known_crashes = fuzzer->crashes().knownCrashes();
+    tally.new_crashes = engine->crashes().newCrashes();
+    tally.known_crashes = engine->crashes().knownCrashes();
     std::fprintf(stderr, "[table2] %s seed %llu: %zu new, %zu known\n",
                  snowplow ? "snowplow" : "syzkaller",
                  static_cast<unsigned long long>(seed),

@@ -34,13 +34,14 @@ main()
     // Merge the two Snowplow runs of the Table-2 campaign.
     fuzz::CrashLog merged(kernel);
     for (uint64_t seed : {101ull, 202ull}) {
-        auto opts = spbench::evalFuzzOptions(budget, seed);
-        auto fuzzer = core::makeSnowplowFuzzer(
+        fuzz::CampaignOptions opts;
+        opts.fuzz = spbench::evalFuzzOptions(budget, seed);
+        auto engine = core::makeSnowplowCampaign(
             kernel, spbench::sharedPmm(), opts,
             spbench::evalSnowplowOptions());
-        fuzzer->run();
-        fuzzer->crashes().reproduceAll();
-        for (const auto &record : fuzzer->crashes().records()) {
+        engine->run();
+        engine->crashes().reproduceAll();
+        for (const auto &record : engine->crashes().records()) {
             if (record.known)
                 continue;
             merged.record(record.bug_index, record.trigger,

@@ -31,15 +31,16 @@ main()
                 static_cast<unsigned long long>(budget));
 
     kern::Kernel kernel = spbench::makeEvalKernel("6.8");
-    auto opts = spbench::evalFuzzOptions(budget, 101);
-    auto fuzzer =
-        core::makeSnowplowFuzzer(kernel, spbench::sharedPmm(), opts,
-                                 spbench::evalSnowplowOptions());
-    fuzzer->run();
-    fuzzer->crashes().reproduceAll();
+    fuzz::CampaignOptions opts;
+    opts.fuzz = spbench::evalFuzzOptions(budget, 101);
+    auto engine =
+        core::makeSnowplowCampaign(kernel, spbench::sharedPmm(), opts,
+                                   spbench::evalSnowplowOptions());
+    engine->run();
+    engine->crashes().reproduceAll();
 
     // Order: hand-modeled paper bugs first, then other new crashes.
-    auto records = fuzzer->crashes().records();
+    auto records = engine->crashes().records();
     std::stable_sort(records.begin(), records.end(),
                      [](const auto &a, const auto &b) {
                          auto rank = [](const fuzz::CrashRecord &r) {

@@ -20,8 +20,7 @@
 #include <memory>
 
 #include "bench/common.h"
-#include "fuzz/fuzzer.h"
-#include "mutate/localizer.h"
+#include "core/snowplow.h"
 #include "obs/timeline.h"
 
 namespace {
@@ -78,12 +77,10 @@ BM_TimelineOverhead(benchmark::State &state)
                             : nullptr;
         if (recorder != nullptr)
             recorder->openLog(kScratchLog);
-        fuzz::FuzzOptions opts = spbench::evalFuzzOptions(
-            kCampaignBudget, /*seed=*/9);
-        opts.timeline = recorder.get();
-        fuzz::Fuzzer fuzzer(kernel, opts,
-                            std::make_unique<mut::RandomLocalizer>());
-        auto report = fuzzer.run();
+        fuzz::CampaignOptions opts;
+        opts.fuzz = spbench::evalFuzzOptions(kCampaignBudget, /*seed=*/9);
+        opts.fuzz.timeline = recorder.get();
+        auto report = core::makeSyzkallerCampaign(kernel, opts)->run();
         if (recorder != nullptr) {
             obs::TimelineTick tick;
             tick.execs = report.execs;

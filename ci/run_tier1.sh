@@ -27,6 +27,8 @@
 #      committed BENCH_timeline.json; coordinator /status and /metrics
 #      validated against fleet_status.schema.json and the [fleet]
 #      section of metrics.required.txt
+#  11  AddressSanitizer + UndefinedBehaviorSanitizer pass over the full
+#      ctest
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -927,4 +929,12 @@ print(f"fleet compare: single-process {edges['a']} -> fleet "
       f"{edges['b']} final edges ({edges['verdict']})")
 PY
 
-echo "tier-1 + telemetry + perf + introspection + cartography + policy + timeline + fleet smoke: OK"
+# Stage 11: AddressSanitizer + UndefinedBehaviorSanitizer pass over the
+# full ctest (a separate build tree, like stage 3's). halt_on_error turns
+# every UBSan report into a failing suite instead of a logged warning.
+cmake -B build-asan -S . -DSP_SANITIZE=address,undefined
+cmake --build build-asan -j"$(nproc)"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
+
+echo "tier-1 + telemetry + perf + introspection + cartography + policy + timeline + fleet + sanitizer smoke: OK"

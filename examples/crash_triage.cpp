@@ -35,20 +35,20 @@ main(int argc, char **argv)
                             : "no checkpoint found; run ./train_pmm "
                               "first — falling back to the baseline");
 
-    fuzz::FuzzOptions opts;
-    opts.exec_budget = budget;
-    opts.seed = 7;
-    opts.checkpoint_every = budget / 8;
-    auto fuzzer = trained
-                      ? core::makeSnowplowFuzzer(kernel, model, opts)
-                      : core::makeSyzkallerFuzzer(kernel, opts);
-    fuzzer->run();
+    fuzz::CampaignOptions opts;
+    opts.fuzz.exec_budget = budget;
+    opts.fuzz.seed = 7;
+    opts.fuzz.checkpoint_every = budget / 8;
+    auto engine = trained
+                      ? core::makeSnowplowCampaign(kernel, model, opts)
+                      : core::makeSyzkallerCampaign(kernel, opts);
+    const auto report = engine->run();
 
-    auto &log = fuzzer->crashes();
+    auto &log = engine->crashes();
     log.reproduceAll();
     std::printf("\ncampaign: %llu executions, %zu unique crashes "
                 "(%zu new, %zu known)\n",
-                static_cast<unsigned long long>(fuzzer->execs()),
+                static_cast<unsigned long long>(report.execs),
                 log.uniqueCrashes(), log.newCrashes(),
                 log.knownCrashes());
 

@@ -4,7 +4,7 @@
 //   $ ./quickstart [exec_budget]
 //
 // This walks the public API end to end: kernel construction, the
-// fuzzing loop, the crash log with reproduction, and program
+// campaign engine, the crash log with reproduction, and program
 // serialization.
 
 #include <cstdio>
@@ -35,12 +35,12 @@ main(int argc, char **argv)
                 kernel.blocks().size(), kernel.bugs().size());
 
     // 2. Fuzz with the baseline random argument localizer.
-    fuzz::FuzzOptions opts;
-    opts.exec_budget = budget;
-    opts.seed = 42;
-    opts.checkpoint_every = budget / 10;
-    auto fuzzer = core::makeSyzkallerFuzzer(kernel, opts);
-    auto report = fuzzer->run();
+    fuzz::CampaignOptions opts;
+    opts.fuzz.exec_budget = budget;
+    opts.fuzz.seed = 42;
+    opts.fuzz.checkpoint_every = budget / 10;
+    auto engine = core::makeSyzkallerCampaign(kernel, opts);
+    auto report = engine->run();
 
     std::printf("\nafter %llu executions:\n",
                 static_cast<unsigned long long>(report.execs));
@@ -48,11 +48,11 @@ main(int argc, char **argv)
     std::printf("  block coverage: %zu\n", report.final_blocks);
     std::printf("  corpus size   : %zu\n", report.corpus_size);
     std::printf("  unique crashes: %zu\n",
-                fuzzer->crashes().uniqueCrashes());
+                engine->crashes().uniqueCrashes());
 
     // 3. Reproduce and minimize the crashes we found.
-    fuzzer->crashes().reproduceAll();
-    for (const auto &record : fuzzer->crashes().records()) {
+    engine->crashes().reproduceAll();
+    for (const auto &record : engine->crashes().records()) {
         std::printf("\ncrash: %s (%s)\n", record.description.c_str(),
                     record.location.c_str());
         std::printf("  known=%s reproduced=%s hits=%llu\n",

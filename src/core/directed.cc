@@ -92,42 +92,6 @@ class DistanceScheduler : public fuzz::Scheduler
     const std::vector<uint32_t> distances_;
 };
 
-namespace {
-
-DirectedResult
-runDirected(const kern::Kernel &kernel, const DirectedOptions &opts,
-            std::unique_ptr<mut::Localizer> localizer)
-{
-    fuzz::FuzzOptions fuzz_opts = opts.fuzz;
-    fuzz_opts.exec_budget = opts.exec_budget;
-    fuzz_opts.seed = opts.seed;
-    fuzz_opts.scheduler =
-        makeDistanceScheduler(kernel, opts.target_block);
-
-    fuzz::Fuzzer fuzzer(kernel, std::move(fuzz_opts),
-                        std::move(localizer));
-    const uint32_t target = opts.target_block;
-    auto report = fuzzer.runUntil([target](const fuzz::Fuzzer &f) {
-        return f.corpus().totalCoverage().containsBlock(target);
-    });
-
-    DirectedResult result;
-    result.reached =
-        fuzzer.corpus().totalCoverage().containsBlock(target);
-    result.execs_total = report.execs;
-    result.execs_to_reach = result.reached ? report.execs : 0;
-    return result;
-}
-
-}  // namespace
-
-std::shared_ptr<fuzz::Scheduler>
-makeDistanceScheduler(const kern::Kernel &kernel, uint32_t target)
-{
-    return std::make_shared<DistanceScheduler>(
-        distanceToBlock(kernel, target));
-}
-
 std::shared_ptr<fuzz::Scheduler>
 makeDistanceScheduler(const kern::Kernel &kernel,
                       const std::vector<uint32_t> &targets)
@@ -136,22 +100,80 @@ makeDistanceScheduler(const kern::Kernel &kernel,
         distanceToBlocks(kernel, targets));
 }
 
+namespace {
+
+/** The directed campaign: `opts.fuzz` with the directed budget and
+ *  seed, steered by the distance scheduler over `targets`. */
+fuzz::CampaignOptions
+directedCampaign(const kern::Kernel &kernel, const DirectedOptions &opts,
+                 const std::vector<uint32_t> &targets)
+{
+    fuzz::CampaignOptions campaign;
+    campaign.fuzz = opts.fuzz;
+    campaign.fuzz.exec_budget = opts.exec_budget;
+    campaign.fuzz.seed = opts.seed;
+    campaign.fuzz.scheduler = makeDistanceScheduler(kernel, targets);
+    return campaign;
+}
+
+bool
+coversAll(const fuzz::Corpus &corpus,
+          const std::vector<uint32_t> &targets)
+{
+    const auto &coverage = corpus.totalCoverage();
+    return std::all_of(targets.begin(), targets.end(),
+                       [&coverage](uint32_t target) {
+                           return coverage.containsBlock(target);
+                       });
+}
+
+/** Run a 1-worker directed campaign until it covers every target or
+ *  spends its budget. */
+fuzz::FuzzReport
+runToTargets(fuzz::CampaignEngine &engine,
+             const std::vector<uint32_t> &targets)
+{
+    return engine.runUntil(
+        [&targets](const fuzz::CampaignEngine &running) {
+            return coversAll(running.corpus(), targets);
+        });
+}
+
+DirectedResult
+singleTargetResult(const fuzz::CampaignEngine &engine,
+                   const fuzz::FuzzReport &report, uint32_t target)
+{
+    DirectedResult result;
+    result.reached = coversAll(engine.corpus(), {target});
+    result.execs_total = report.execs;
+    result.execs_to_reach = result.reached ? report.execs : 0;
+    return result;
+}
+
+}  // namespace
+
 DirectedResult
 runSyzDirect(const kern::Kernel &kernel, const DirectedOptions &opts)
 {
-    return runDirected(kernel, opts,
-                       std::make_unique<mut::RandomLocalizer>());
+    const std::vector<uint32_t> targets = {opts.target_block};
+    auto engine = makeSyzkallerCampaign(
+        kernel, directedCampaign(kernel, opts, targets));
+    const auto report = runToTargets(*engine, targets);
+    return singleTargetResult(*engine, report, opts.target_block);
 }
 
 DirectedResult
 runSnowplowD(const kern::Kernel &kernel, const Pmm &model,
              const DirectedOptions &opts)
 {
+    const std::vector<uint32_t> targets = {opts.target_block};
     SnowplowOptions snowplow_opts;
-    snowplow_opts.directed_targets = {opts.target_block};
-    auto localizer = std::make_unique<PmmLocalizer>(kernel, model,
-                                                    std::move(snowplow_opts));
-    return runDirected(kernel, opts, std::move(localizer));
+    snowplow_opts.directed_targets = targets;
+    auto engine = makeSnowplowCampaign(
+        kernel, model, directedCampaign(kernel, opts, targets),
+        std::move(snowplow_opts));
+    const auto report = runToTargets(*engine, targets);
+    return singleTargetResult(*engine, report, opts.target_block);
 }
 
 MultiDirectedResult
@@ -162,28 +184,14 @@ runSnowplowD(const kern::Kernel &kernel, const Pmm &model,
     SP_ASSERT(!targets.empty());
     SnowplowOptions snowplow_opts;
     snowplow_opts.directed_targets = targets;
-    auto localizer = std::make_unique<PmmLocalizer>(
-        kernel, model, std::move(snowplow_opts));
-
-    fuzz::FuzzOptions fuzz_opts = opts.fuzz;
-    fuzz_opts.exec_budget = opts.exec_budget;
-    fuzz_opts.seed = opts.seed;
-    fuzz_opts.scheduler = makeDistanceScheduler(kernel, targets);
-
-    fuzz::Fuzzer fuzzer(kernel, std::move(fuzz_opts),
-                        std::move(localizer));
-    auto report = fuzzer.runUntil([&targets](const fuzz::Fuzzer &f) {
-        const auto &coverage = f.corpus().totalCoverage();
-        for (const uint32_t target : targets) {
-            if (!coverage.containsBlock(target))
-                return false;
-        }
-        return true;
-    });
+    auto engine = makeSnowplowCampaign(
+        kernel, model, directedCampaign(kernel, opts, targets),
+        std::move(snowplow_opts));
+    const auto report = runToTargets(*engine, targets);
 
     MultiDirectedResult result;
     result.execs_total = report.execs;
-    const auto &coverage = fuzzer.corpus().totalCoverage();
+    const auto &coverage = engine->corpus().totalCoverage();
     for (const uint32_t target : targets) {
         if (coverage.containsBlock(target))
             result.reached.push_back(target);

@@ -2,15 +2,15 @@
  * @file
  * Directed kernel fuzzing (paper §5.4).
  *
- * SyzDirect's essence is reproduced as a distance-guided fuzzer: a
+ * SyzDirect's essence is reproduced as a distance-guided campaign: a
  * static reverse-BFS distance map from the target block over the
- * kernel CFG drives choose_test (corpus entries whose coverage sits
- * closest to the target are mutated preferentially), and the campaign
- * stops the moment the target block is covered. Snowplow-D is the same
- * loop with the PMM localizer in directed mode: the query marks the
- * target block (when it reaches the one-hop frontier) as the desired
- * coverage, so argument selection is steered toward the branch guarding
- * the target.
+ * kernel CFG drives the campaign's Scheduler (corpus entries whose
+ * coverage sits closest to the target are mutated preferentially), and
+ * a 1-worker CampaignEngine::runUntil stops the moment the target
+ * block is covered. Snowplow-D is the same campaign with the PMM
+ * localizer in directed mode: the query marks the target block (when
+ * it reaches the one-hop frontier) as the desired coverage, so argument
+ * selection is steered toward the branch guarding the target.
  */
 #ifndef SP_CORE_DIRECTED_H
 #define SP_CORE_DIRECTED_H
@@ -66,15 +66,10 @@ std::vector<uint32_t> distanceToBlocks(
 
 /**
  * Distance-guided base scheduler: corpus entries whose coverage sits
- * closest to `target` (by static reverse-BFS distance) get most of the
- * pick mass. This is the directed mode's choose_test as a Scheduler —
- * stateless after construction, so safe to share across campaign
- * workers.
+ * closest to the nearest of `targets` (by static reverse-BFS distance)
+ * get most of the pick mass. Stateless after construction, so safe to
+ * share across campaign workers.
  */
-std::shared_ptr<fuzz::Scheduler>
-makeDistanceScheduler(const kern::Kernel &kernel, uint32_t target);
-
-/** Multi-target distance scheduler (nearest-target distances). */
 std::shared_ptr<fuzz::Scheduler>
 makeDistanceScheduler(const kern::Kernel &kernel,
                       const std::vector<uint32_t> &targets);

@@ -350,40 +350,6 @@ AsyncPmmLocalizer::localizeChosen(const prog::Prog &prog,
             mut::LocalizerChannel::ForcedRandom};
 }
 
-std::unique_ptr<fuzz::Fuzzer>
-makeSnowplowFuzzer(const kern::Kernel &kernel, const Pmm &model,
-                   fuzz::FuzzOptions fuzz_opts,
-                   SnowplowOptions snowplow_opts)
-{
-    snowplow_opts.exec_backend = fuzz_opts.exec_backend;
-    auto localizer = std::make_unique<PmmLocalizer>(
-        kernel, model, std::move(snowplow_opts));
-    return std::make_unique<fuzz::Fuzzer>(kernel, std::move(fuzz_opts),
-                                          std::move(localizer));
-}
-
-std::unique_ptr<fuzz::Fuzzer>
-makeAsyncSnowplowFuzzer(const kern::Kernel &kernel,
-                        InferenceService &service,
-                        fuzz::FuzzOptions fuzz_opts,
-                        SnowplowOptions snowplow_opts)
-{
-    snowplow_opts.exec_backend = fuzz_opts.exec_backend;
-    auto localizer = std::make_unique<AsyncPmmLocalizer>(
-        kernel, service, std::move(snowplow_opts));
-    return std::make_unique<fuzz::Fuzzer>(kernel, std::move(fuzz_opts),
-                                          std::move(localizer));
-}
-
-std::unique_ptr<fuzz::Fuzzer>
-makeSyzkallerFuzzer(const kern::Kernel &kernel,
-                    fuzz::FuzzOptions fuzz_opts)
-{
-    return std::make_unique<fuzz::Fuzzer>(
-        kernel, std::move(fuzz_opts),
-        std::make_unique<mut::RandomLocalizer>());
-}
-
 std::unique_ptr<fuzz::CampaignEngine>
 makeSnowplowCampaign(const kern::Kernel &kernel, const Pmm &model,
                      fuzz::CampaignOptions campaign_opts,

@@ -15,8 +15,8 @@
  * returned sites naturally implements the dynamic mutation count —
  * bases with more promising arguments get more argument mutations.
  *
- * makeSnowplowFuzzer / makeSyzkallerFuzzer build the two sides of every
- * same-budget comparison in the evaluation.
+ * makeSnowplowCampaign / makeSyzkallerCampaign build the two sides of
+ * every same-budget comparison in the evaluation.
  */
 #ifndef SP_CORE_SNOWPLOW_H
 #define SP_CORE_SNOWPLOW_H
@@ -29,7 +29,6 @@
 #include "core/infer.h"
 #include "core/pmm.h"
 #include "fuzz/campaign.h"
-#include "fuzz/fuzzer.h"
 
 namespace sp::core {
 
@@ -256,48 +255,29 @@ class AsyncPmmLocalizer : public mut::Localizer
     uint64_t pending_answers_ = 0;
 };
 
-/** Snowplow = the fuzz loop + PmmLocalizer. */
-std::unique_ptr<fuzz::Fuzzer>
-makeSnowplowFuzzer(const kern::Kernel &kernel, const Pmm &model,
-                   fuzz::FuzzOptions fuzz_opts,
-                   SnowplowOptions snowplow_opts = {});
-
 /**
- * Snowplow with the asynchronous inference pipeline: the returned
- * fuzzer owns an AsyncPmmLocalizer bound to `service`.
- */
-std::unique_ptr<fuzz::Fuzzer>
-makeAsyncSnowplowFuzzer(const kern::Kernel &kernel,
-                        InferenceService &service,
-                        fuzz::FuzzOptions fuzz_opts,
-                        SnowplowOptions snowplow_opts = {});
-
-/** The Syzkaller baseline = the same loop + RandomLocalizer. */
-std::unique_ptr<fuzz::Fuzzer>
-makeSyzkallerFuzzer(const kern::Kernel &kernel,
-                    fuzz::FuzzOptions fuzz_opts);
-
-/**
- * @name Multi-worker campaign construction
+ * @name Campaign construction
  *
- * The campaign analogs of the fuzzer factories: each worker gets its
- * own localizer instance (private probe executor and encode scratch)
- * while the Snowplow variants share one PredictionCache across
- * workers. At `workers = 1` these reproduce the corresponding
- * single-threaded fuzzer bit-for-bit.
+ * Each worker gets its own localizer instance (private probe executor
+ * and encode scratch) while the Snowplow variants share one
+ * PredictionCache across workers.
  */
 /** @{ */
+/** Snowplow = the campaign engine + PmmLocalizer. */
 std::unique_ptr<fuzz::CampaignEngine>
 makeSnowplowCampaign(const kern::Kernel &kernel, const Pmm &model,
                      fuzz::CampaignOptions campaign_opts,
                      SnowplowOptions snowplow_opts = {});
 
+/** Snowplow with the asynchronous inference pipeline: every worker
+ *  owns an AsyncPmmLocalizer bound to `service`. */
 std::unique_ptr<fuzz::CampaignEngine>
 makeAsyncSnowplowCampaign(const kern::Kernel &kernel,
                           InferenceService &service,
                           fuzz::CampaignOptions campaign_opts,
                           SnowplowOptions snowplow_opts = {});
 
+/** The Syzkaller baseline = the same engine + RandomLocalizer. */
 std::unique_ptr<fuzz::CampaignEngine>
 makeSyzkallerCampaign(const kern::Kernel &kernel,
                       fuzz::CampaignOptions campaign_opts);

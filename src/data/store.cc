@@ -10,6 +10,7 @@
 #include <unordered_set>
 
 #include "prog/serialize.h"
+#include "prog/validate.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -200,6 +201,14 @@ loadStore(const kern::Kernel &kernel,
                           static_cast<unsigned long long>(
                               base.base_hash),
                           parsed.error.c_str());
+                const auto violation = prog::validateProg(*parsed.prog);
+                SP_ASSERT(!violation,
+                          "%s: stored base %016llx is not a valid "
+                          "program: %s",
+                          path.c_str(),
+                          static_cast<unsigned long long>(
+                              base.base_hash),
+                          violation->c_str());
                 auto result = executor.run(*parsed.prog);
                 SP_ASSERT(
                     sortedBlocks(result.coverage) == base.blocks &&

@@ -16,9 +16,8 @@ ExecResult
 Executor::run(const prog::Prog &prog)
 {
     SP_TIMED("exec.run_us");
-    // Execute-stage span lives here, not in the campaign loop, so the
-    // legacy Fuzzer and localizer probe runs are traced too (arg =
-    // program length).
+    // Execute-stage span lives here, not in the campaign loop, so
+    // localizer probe runs are traced too (arg = program length).
     obs::TraceSpan trace_span(obs::SpanKind::Execute,
                               prog.calls.size());
     ++programs_executed_;

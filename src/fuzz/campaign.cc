@@ -1,6 +1,9 @@
 #include "fuzz/campaign.h"
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "obs/covmap.h"
@@ -15,13 +18,83 @@ namespace sp::fuzz {
 
 namespace {
 
+/** Per-lane tallies shared by every worker of one campaign. */
+struct LaneTally
+{
+    std::atomic<uint64_t> produced{0};
+    std::atomic<uint64_t> admitted{0};
+};
+
+/** State shared by every worker of one campaign run. */
+struct CampaignShared
+{
+    const FuzzOptions *opts = nullptr;
+    Corpus *corpus = nullptr;
+    CrashLog *crashes = nullptr;
+    BudgetLedger *ledger = nullptr;
+    /** The campaign's decision policy (never null once workers run):
+     *  every pick/operator/arbitration choice and every post-triage
+     *  reward goes through it. Shard merges happen in the serialized
+     *  checkpoint owner, before the checkpoints_done publish. */
+    DecisionPolicy *policy = nullptr;
+    LaneTally lanes[kMutationLanes];
+
+    /** Checkpoints appended strictly in grid order (see emit logic). */
+    std::vector<Checkpoint> board;
+    /** Checkpoints emitted so far (board.size(), published). */
+    std::atomic<uint64_t> checkpoints_done{0};
+    /** Wakes boundary owners waiting for the previous checkpoint. */
+    std::mutex checkpoint_mu;
+    std::condition_variable checkpoint_cv;
+    /** Edge count at the previous checkpoint (telemetry deltas); only
+     *  the in-order checkpoint owner touches it. */
+    size_t last_checkpoint_edges = 0;
+
+    /** runUntil's stop predicate bound to the engine; empty = never. */
+    std::function<bool()> stop;
+
+    /**
+     * Mutation observer (CampaignOptions::on_mutation); null or empty
+     * = none. A pointer so per-exec hot paths test one load instead of
+     * copying a std::function per campaign.
+     */
+    const MutationObserver *observer = nullptr;
+
+    bool
+    stopped() const
+    {
+        return stop && stop();
+    }
+};
+
+/** One worker's private slice of the campaign. */
+struct WorkerEnv
+{
+    CampaignShared *shared = nullptr;
+    size_t worker_id = 0;
+    Rng *rng = nullptr;
+    exec::Executor *executor = nullptr;
+    const mut::Mutator *mutator = nullptr;
+    mut::Localizer *localizer = nullptr;
+    /** This worker's covmap shard (null = profiling off). Only this
+     *  worker writes it; the checkpoint owner reads it at merges. */
+    obs::CovShard *cov_shard = nullptr;
+
+    /** @name Filled in by the loop (worker telemetry) */
+    /** @{ */
+    uint64_t local_execs = 0;  ///< slots this worker executed
+    uint64_t wait_us = 0;      ///< time spent in checkpoint barriers
+    uint64_t wall_us = 0;      ///< workerLoop wall time
+    /** @} */
+};
+
 /**
  * Publish a worker's current pipeline stage to the status board. One
  * relaxed load when nobody is watching (no status server, no tracer
  * watchdog) — the gate is the whole cost of an unobserved campaign.
  */
 inline void
-boardStage(const detail::WorkerEnv &env, obs::WorkerStage stage,
+boardStage(const WorkerEnv &env, obs::WorkerStage stage,
            uint64_t slot = 0)
 {
     if (obs::introspectionEnabled())
@@ -89,13 +162,13 @@ microsSince(std::chrono::steady_clock::time_point start)
  * no matter how slots interleaved across workers.
  */
 void
-maybeEmitCheckpoint(detail::WorkerEnv &env, uint64_t slot)
+maybeEmitCheckpoint(WorkerEnv &env, uint64_t slot)
 {
-    detail::CampaignShared &shared = *env.shared;
+    CampaignShared &shared = *env.shared;
     const uint64_t every = shared.opts->checkpoint_every;
     if (slot % every != 0)
         return;
-    const uint64_t target = slot / every - shared.board_base - 1;
+    const uint64_t target = slot / every - 1;
 
     boardStage(env, obs::WorkerStage::Checkpoint, slot);
     if (shared.ledger->prefixCompleted() < slot ||
@@ -184,13 +257,13 @@ maybeEmitCheckpoint(detail::WorkerEnv &env, uint64_t slot)
  * grid as everything else.
  */
 bool
-executeSlot(detail::WorkerEnv &env, const prog::Prog &program,
+executeSlot(WorkerEnv &env, const prog::Prog &program,
             MutationLane lane, const mut::ArgLocation *site,
             bool bounded, int arm = -1,
             const prog::Prog *base = nullptr,
             const exec::ExecResult *base_result = nullptr)
 {
-    detail::CampaignShared &shared = *env.shared;
+    CampaignShared &shared = *env.shared;
     const BudgetGrant grant = shared.ledger->claim(1, bounded);
     if (grant.empty())
         return false;
@@ -203,8 +276,6 @@ executeSlot(detail::WorkerEnv &env, const prog::Prog &program,
             env.cov_shard->recordTrace(call.blocks);
     }
     ++env.local_execs;
-    if (env.execs_out != nullptr)
-        *env.execs_out = slot;
 
     boardStage(env, obs::WorkerStage::Triage, slot);
     size_t new_edges = 0;
@@ -226,7 +297,7 @@ executeSlot(detail::WorkerEnv &env, const prog::Prog &program,
         shared.policy->recordReward(env.worker_id, arm, reward);
     }
 
-    detail::LaneTally &tally = shared.lanes[laneIndex(lane)];
+    LaneTally &tally = shared.lanes[laneIndex(lane)];
     tally.produced.fetch_add(1, std::memory_order_relaxed);
     if (admitted)
         tally.admitted.fetch_add(1, std::memory_order_relaxed);
@@ -337,13 +408,16 @@ makeScheduler(const FuzzOptions &opts)
 {
     if (opts.scheduler)
         return opts.scheduler;
-    if (opts.choose_test)
-        return std::make_shared<HookScheduler>(opts.choose_test);
     return std::make_shared<RecencyScheduler>();
 }
 
-namespace detail {
+namespace {
 
+/**
+ * Seed stage: generate `seed_corpus_size` programs from the worker's
+ * RNG and execute them (unbounded claims — the whole seed corpus runs
+ * even when the budget is smaller).
+ */
 void
 seedStage(WorkerEnv &env, const kern::Kernel &kernel)
 {
@@ -373,6 +447,8 @@ seedStage(WorkerEnv &env, const kern::Kernel &kernel)
                     /*bounded=*/false, /*arm=*/-1);
 }
 
+/** The staged mutation pipeline; returns when the budget is spent or
+ *  the campaign's stop predicate fires. */
 void
 workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
 {
@@ -508,17 +584,20 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
     env.wall_us += microsSince(loop_start);
 }
 
+/**
+ * Assemble the FuzzReport, set the end-of-run gauges and emit the
+ * `campaign_summary` telemetry event (with final crash and per-lane
+ * admission totals). `wall_sec` is the campaign's wall-clock duration.
+ */
 FuzzReport
-finalizeCampaign(const CampaignShared &shared,
-                 const std::vector<Checkpoint> &timeline,
-                 uint64_t total_execs, uint64_t campaign_execs,
-                 double wall_sec, size_t workers)
+finalizeCampaign(CampaignShared &shared, double wall_sec,
+                 size_t workers)
 {
     FuzzReport report;
-    report.timeline = timeline;
+    report.timeline = std::move(shared.board);
     report.final_edges = shared.corpus->totalCoverage().edgeCount();
     report.final_blocks = shared.corpus->totalCoverage().blockCount();
-    report.execs = total_execs;
+    report.execs = shared.ledger->completed();
     report.corpus_size = shared.corpus->size();
     report.final_crashes = shared.crashes->uniqueCrashes();
     for (size_t lane = 0; lane < kMutationLanes; ++lane) {
@@ -529,7 +608,7 @@ finalizeCampaign(const CampaignShared &shared,
     }
 
     const double execs_per_sec =
-        wall_sec > 0.0 ? static_cast<double>(campaign_execs) / wall_sec
+        wall_sec > 0.0 ? static_cast<double>(report.execs) / wall_sec
                        : 0.0;
     FuzzMetrics &metrics = FuzzMetrics::get();
     auto rate = [](const obs::Counter &hit, const obs::Counter &total) {
@@ -552,7 +631,7 @@ finalizeCampaign(const CampaignShared &shared,
     if (auto *sink = obs::sink()) {
         sink->event(
             "campaign_summary",
-            {{"execs", campaign_execs},
+            {{"execs", report.execs},
              {"wall_sec", wall_sec},
              {"execs_per_sec", execs_per_sec},
              {"final_edges", report.final_edges},
@@ -574,10 +653,6 @@ finalizeCampaign(const CampaignShared &shared,
     return report;
 }
 
-}  // namespace detail
-
-namespace {
-
 CampaignOptions
 normalized(CampaignOptions options)
 {
@@ -595,15 +670,16 @@ CampaignEngine::CampaignEngine(const kern::Kernel &kernel,
       policy_(makePolicy(opts_.fuzz)),
       mutator_(kernel.table(), opts_.fuzz.mutator),
       executors_(kernel, execOptionsFor(opts_.fuzz), opts_.workers),
-      corpus_(opts_.workers), crashes_(kernel)
+      corpus_(opts_.workers), crashes_(kernel),
+      ledger_(opts_.fuzz.exec_budget, opts_.fuzz.checkpoint_every)
 {
     SP_ASSERT(make_localizer != nullptr,
               "campaign engine needs a localizer factory");
     rngs_.reserve(opts_.workers);
     localizers_.reserve(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
-        // Worker 0's stream is the campaign seed itself, so a 1-worker
-        // campaign draws exactly like the legacy Fuzzer.
+        // Worker 0's stream is the campaign seed itself
+        // (splitSeed(seed, 0) == seed).
         rngs_.push_back(
             std::make_unique<Rng>(splitSeed(opts_.fuzz.seed, w)));
         auto localizer = make_localizer(w);
@@ -616,7 +692,16 @@ CampaignEngine::CampaignEngine(const kern::Kernel &kernel,
 FuzzReport
 CampaignEngine::run()
 {
-    SP_ASSERT(!ran_, "CampaignEngine::run is one-shot");
+    return runUntil({});
+}
+
+FuzzReport
+CampaignEngine::runUntil(const StopPredicate &stop)
+{
+    SP_ASSERT(!ran_, "CampaignEngine::run/runUntil is one-shot");
+    SP_ASSERT(!stop || opts_.workers == 1,
+              "runUntil: a stop predicate needs workers = 1 (it would "
+              "race the workers on corpus().totalCoverage())");
     ran_ = true;
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -666,29 +751,28 @@ CampaignEngine::run()
     if (opts_.fuzz.timeline != nullptr)
         opts_.fuzz.timeline->rebaseline();
 
-    detail::CampaignShared shared;
+    CampaignShared shared;
     shared.opts = &opts_.fuzz;
     shared.corpus = &corpus_;
     shared.crashes = &crashes_;
+    shared.ledger = &ledger_;
     policy_->beginCampaign(opts_.workers);
     shared.policy = policy_.get();
     if (opts_.on_mutation)
         shared.observer = &opts_.on_mutation;
-    BudgetLedger ledger(opts_.fuzz.exec_budget,
-                        opts_.fuzz.checkpoint_every);
-    shared.ledger = &ledger;
+    if (stop)
+        shared.stop = [this, &stop] { return stop(*this); };
 
     // Live introspection: announce the worker lanes and register the
     // campaign-state provider /status and flight records embed. The
-    // provider references this stack frame, so before run() returns it
+    // provider references this stack frame, so before the run returns it
     // is replaced by a frozen final snapshot (post-run scrapes still
     // see the campaign's end state). statusJson() invokes the provider
     // under the same mutex setStatusProvider() takes, so the swap in
     // ~ProviderGuard also *waits out* any in-flight invocation — once
     // it returns, nothing can touch these stack captures again.
     obs::statusBoard().reset(opts_.workers);
-    std::function<std::string()> campaign_status = [&shared, &ledger,
-                                                    this] {
+    std::function<std::string()> campaign_status = [&shared, this] {
         std::string out = "{\"workers\":";
         out += std::to_string(opts_.workers);
         out += ",\"corpus_size\":";
@@ -700,13 +784,13 @@ CampaignEngine::run()
         out += ",\"unique_crashes\":";
         out += std::to_string(crashes_.uniqueCrashes());
         out += ",\"budget\":";
-        out += std::to_string(ledger.budget());
+        out += std::to_string(ledger_.budget());
         out += ",\"claimed\":";
-        out += std::to_string(ledger.claimed());
+        out += std::to_string(ledger_.claimed());
         out += ",\"completed\":";
-        out += std::to_string(ledger.completed());
+        out += std::to_string(ledger_.completed());
         out += ",\"ledger_watermark\":";
-        out += std::to_string(ledger.prefixCompleted());
+        out += std::to_string(ledger_.prefixCompleted());
         out += ",\"checkpoints\":";
         out += std::to_string(shared.checkpoints_done.load(
             std::memory_order_acquire));
@@ -728,9 +812,9 @@ CampaignEngine::run()
         }
     } provider_guard{campaign_status};
 
-    std::vector<detail::WorkerEnv> envs(opts_.workers);
+    std::vector<WorkerEnv> envs(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
-        detail::WorkerEnv &env = envs[w];
+        WorkerEnv &env = envs[w];
         env.shared = &shared;
         env.worker_id = w;
         env.rng = rngs_[w].get();
@@ -746,8 +830,7 @@ CampaignEngine::run()
     // Seed stage: worker 0, on the calling thread, before any worker
     // thread exists — the generated corpus and its admission order are
     // deterministic regardless of worker count.
-    if (corpus_.empty())
-        detail::seedStage(envs[0], kernel_);
+    seedStage(envs[0], kernel_);
 
     // Mutation stages: workers 1..N-1 on threads, worker 0 here (a
     // 1-worker campaign therefore never spawns a thread).
@@ -755,14 +838,14 @@ CampaignEngine::run()
     threads.reserve(opts_.workers - 1);
     for (size_t w = 1; w < opts_.workers; ++w) {
         threads.emplace_back(
-            [this, &envs, w] { detail::workerLoop(envs[w], kernel_); });
+            [this, &envs, w] { workerLoop(envs[w], kernel_); });
     }
-    detail::workerLoop(envs[0], kernel_);
+    workerLoop(envs[0], kernel_);
     for (auto &thread : threads)
         thread.join();
 
     for (size_t w = 0; w < opts_.workers; ++w) {
-        const detail::WorkerEnv &env = envs[w];
+        const WorkerEnv &env = envs[w];
         const double busy =
             env.wall_us > 0
                 ? static_cast<double>(env.wall_us - env.wait_us) /
@@ -776,10 +859,7 @@ CampaignEngine::run()
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    return detail::finalizeCampaign(shared, shared.board,
-                                    ledger.completed(),
-                                    ledger.completed(), wall_sec,
-                                    opts_.workers);
+    return finalizeCampaign(shared, wall_sec, opts_.workers);
 }
 
 }  // namespace sp::fuzz

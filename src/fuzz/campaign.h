@@ -1,23 +1,28 @@
 /**
  * @file
- * The staged campaign runtime (Figure 1 as an explicit pipeline).
- *
- * The monolithic fuzz loop is decomposed into stages —
+ * The campaign engine: the coverage-guided fuzzing loop of Figure 1 as
+ * an explicit staged pipeline,
  *
  *     schedule → localize → instantiate → execute → triage/admit
  *              → checkpoint
  *
- * — run by one or more workers over shared campaign state. The legacy
- * single-threaded `Fuzzer` (fuzzer.h) drives exactly one worker over
- * these stages; `CampaignEngine` runs N of them on threads:
+ * run by one or more workers over shared campaign state. Call
+ * insertion/removal mutations run alongside argument mutations with
+ * their Syzkaller weights. Swapping the Localizer is exactly how
+ * Snowplow is built on top of this loop (src/core/snowplow.h).
+ *
+ * Time is virtual: the budget is counted in executed programs, the
+ * resource both compared systems share (§5.3's same-machine-cost
+ * comparison). Coverage is checkpointed on a fixed execution grid so
+ * runs are directly comparable:
  *
  *  - the Corpus is sharded (one shard per worker) and thread-safe;
  *  - each worker owns a deterministic RNG stream split from the
  *    campaign seed (worker 0's stream IS the campaign seed, so a
- *    1-worker engine is bit-for-bit the legacy loop), its own
- *    executor from an exec::ExecutorPool, and its own localizer
- *    (built by a per-worker factory so learned localizers can share
- *    one InferenceService and one prediction cache);
+ *    1-worker campaign is bit-for-bit reproducible), its own executor
+ *    from an exec::ExecutorPool, and its own localizer (built by a
+ *    per-worker factory so learned localizers can share one
+ *    InferenceService and one prediction cache);
  *  - virtual time is a shared BudgetLedger claimed in
  *    checkpoint-aligned grants, so the coverage timeline lands on the
  *    same fixed execution grid regardless of worker count; and
@@ -31,23 +36,137 @@
 #ifndef SP_FUZZ_CAMPAIGN_H
 #define SP_FUZZ_CAMPAIGN_H
 
-#include <atomic>
-#include <condition_variable>
+#include <array>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "fuzz/fuzzer.h"
+#include "fuzz/corpus.h"
+#include "fuzz/crash.h"
 #include "fuzz/policy.h"
 #include "fuzz/sched.h"
+#include "mutate/mutator.h"
 
 namespace sp::obs {
 class CovMap;
-class CovShard;
+class TimelineRecorder;
 struct TimelineTick;
 }
 
 namespace sp::fuzz {
+
+/** Fuzzing-loop configuration. */
+struct FuzzOptions
+{
+    uint64_t exec_budget = 50000;     ///< program executions ("time")
+    size_t seed_corpus_size = 40;
+    /**
+     * Programs executed ahead of the generated seed corpus (the fleet
+     * coordinator's seed batches enter a node's lease campaign here).
+     * Empty — the default — leaves the seed stage byte-for-byte the
+     * plain generate-and-execute path.
+     */
+    std::vector<prog::Prog> injected_seeds;
+    uint64_t seed = 1;
+    bool noisy = true;                ///< nondeterministic execution
+    uint64_t checkpoint_every = 500;  ///< coverage timeline grid
+    /** Instantiations per localized argument site. */
+    size_t mutations_per_site = 3;
+    /** Max argument sites requested from the localizer per base. */
+    size_t max_sites_per_base = 6;
+    /** Non-argument (insert/remove) mutants per base pick. */
+    size_t structural_mutations_per_base = 2;
+    mut::MutatorOptions mutator;
+    /**
+     * The decision policy driving scheduling, operator choice, and
+     * PMM-vs-random arbitration (policy.h). The default StaticPolicy
+     * reproduces the historical loop bit-for-bit; `policy.kind =
+     * Thompson` switches every decision to the bandit.
+     */
+    PolicyOptions policy;
+    /**
+     * Optional scheduler (Figure 1's test selection as a stage): picks
+     * the corpus entry to mutate. Consumed by StaticPolicy as its pick
+     * adapter (ignored by ThompsonPolicy, which schedules from the
+     * posterior). Shared across campaign workers, so implementations
+     * must be safe for concurrent pick() calls. When unset, the
+     * recency-biased default runs.
+     */
+    std::shared_ptr<Scheduler> scheduler;
+    /**
+     * Optional coverage-cartography accumulator (obs/covmap.h, not
+     * owned; must outlive the run). Workers record per-call block
+     * traces into their shard after every execution and the in-order
+     * checkpoint owner merges + emits one snapshot window per grid
+     * boundary. Null = hit-count profiling off (zero overhead).
+     */
+    obs::CovMap *covmap = nullptr;
+    /**
+     * Optional campaign timeline recorder (obs/timeline.h, not owned;
+     * must outlive the run). The in-order checkpoint owner hands it
+     * one tick per grid boundary — campaign facts plus the covmap and
+     * policy merged state — and it samples the metrics registry under
+     * that serialization. Null = no metric history (zero overhead).
+     */
+    obs::TimelineRecorder *timeline = nullptr;
+    /**
+     * Execution backend for every worker executor. Bit-identical
+     * either way (exec/backend.h); Reference exists for differential
+     * runs and A/B throughput measurements.
+     */
+    exec::BackendKind exec_backend = exec::BackendKind::Fast;
+};
+
+/** Which mutation lane produced a program (telemetry attribution). */
+enum class MutationLane {
+    Seed,        ///< generated seed-corpus program
+    Argument,    ///< localized argument mutation
+    Structural,  ///< selector-driven insert/remove/random-arg lane
+};
+
+/** MutationLane as a dense array index. */
+constexpr size_t kMutationLanes = 3;
+constexpr size_t
+laneIndex(MutationLane lane)
+{
+    return static_cast<size_t>(lane);
+}
+
+/** One coverage checkpoint. */
+struct Checkpoint
+{
+    uint64_t execs = 0;
+    size_t edges = 0;
+    size_t blocks = 0;
+    size_t crashes = 0;
+};
+
+/** Per-lane production/admission totals of one campaign. */
+struct LaneCounts
+{
+    uint64_t produced = 0;
+    uint64_t admitted = 0;
+};
+
+/** Outcome of one fuzzing campaign. */
+struct FuzzReport
+{
+    std::vector<Checkpoint> timeline;
+    size_t final_edges = 0;
+    size_t final_blocks = 0;
+    uint64_t execs = 0;
+    size_t corpus_size = 0;
+    /** Unique (deduplicated) crashes at budget end. */
+    size_t final_crashes = 0;
+    /** Mutants produced/admitted per lane, indexed by laneIndex(). */
+    std::array<LaneCounts, kMutationLanes> lanes{};
+
+    const LaneCounts &
+    lane(MutationLane which) const
+    {
+        return lanes[laneIndex(which)];
+    }
+};
 
 /**
  * One executed argument-lane mutant, offered to the campaign's
@@ -80,9 +199,8 @@ exec::ExecOptions execOptionsFor(const FuzzOptions &opts);
 
 /**
  * Build the effective scheduler for `opts`: `opts.scheduler` if set,
- * a HookScheduler over `opts.choose_test` if set, else the
- * recency-biased default. Consumed by StaticPolicy (policy.h) as its
- * pick adapter — the schedulers are no longer dispatched by the loop
+ * else the recency-biased default. Consumed by StaticPolicy (policy.h)
+ * as its pick adapter — the schedulers are not dispatched by the loop
  * itself.
  */
 std::shared_ptr<Scheduler> makeScheduler(const FuzzOptions &opts);
@@ -100,115 +218,10 @@ obs::TimelineTick makeTimelineTick(const Checkpoint &cp,
                                    const obs::CovMap *covmap,
                                    const DecisionPolicy *policy);
 
-namespace detail {
-
-/** Per-lane tallies shared by every worker of one campaign. */
-struct LaneTally
-{
-    std::atomic<uint64_t> produced{0};
-    std::atomic<uint64_t> admitted{0};
-};
-
-/**
- * State shared by every worker of one campaign run (for the legacy
- * Fuzzer, the "campaign" is one runUntil call with a single worker).
- */
-struct CampaignShared
-{
-    const FuzzOptions *opts = nullptr;
-    Corpus *corpus = nullptr;
-    CrashLog *crashes = nullptr;
-    BudgetLedger *ledger = nullptr;
-    /** The campaign's decision policy (never null once workers run):
-     *  every pick/operator/arbitration choice and every post-triage
-     *  reward goes through it. Shard merges happen in the serialized
-     *  checkpoint owner, before the checkpoints_done publish. */
-    DecisionPolicy *policy = nullptr;
-    LaneTally lanes[kMutationLanes];
-
-    /** Checkpoints appended strictly in grid order (see emit logic). */
-    std::vector<Checkpoint> board;
-    /** Checkpoints emitted so far (board.size(), published). */
-    std::atomic<uint64_t> checkpoints_done{0};
-    /** Wakes boundary owners waiting for the previous checkpoint. */
-    std::mutex checkpoint_mu;
-    std::condition_variable checkpoint_cv;
-    /** Grid ordinal of board[0] (non-zero on legacy fuzzer reruns). */
-    uint64_t board_base = 0;
-    /** Edge count at the previous checkpoint (telemetry deltas); only
-     *  the in-order checkpoint owner touches it. */
-    size_t last_checkpoint_edges = 0;
-
-    /** Optional stop predicate (legacy runUntil); empty = never. */
-    std::function<bool()> stop;
-
-    /**
-     * Mutation observer (CampaignOptions::on_mutation); null or empty
-     * = none. A pointer so per-exec hot paths test one load instead of
-     * copying a std::function per campaign.
-     */
-    const MutationObserver *observer = nullptr;
-
-    bool
-    stopped() const
-    {
-        return stop && stop();
-    }
-};
-
-/** One worker's private slice of the campaign. */
-struct WorkerEnv
-{
-    CampaignShared *shared = nullptr;
-    size_t worker_id = 0;
-    Rng *rng = nullptr;
-    exec::Executor *executor = nullptr;
-    const mut::Mutator *mutator = nullptr;
-    mut::Localizer *localizer = nullptr;
-    /** This worker's covmap shard (null = profiling off). Only this
-     *  worker writes it; the checkpoint owner reads it at merges. */
-    obs::CovShard *cov_shard = nullptr;
-    /** Mirror of the execution counter (legacy Fuzzer::execs_). */
-    uint64_t *execs_out = nullptr;
-
-    /** @name Filled in by the loop (worker telemetry) */
-    /** @{ */
-    uint64_t local_execs = 0;  ///< slots this worker executed
-    uint64_t wait_us = 0;      ///< time spent in checkpoint barriers
-    uint64_t wall_us = 0;      ///< workerLoop wall time
-    /** @} */
-};
-
-/**
- * Seed stage: generate `seed_corpus_size` programs from the worker's
- * RNG and execute them (unbounded claims — the legacy loop seeds its
- * whole corpus even when the budget is smaller).
- */
-void seedStage(WorkerEnv &env, const kern::Kernel &kernel);
-
-/** The staged mutation pipeline; returns when the budget is spent or
- *  the campaign's stop predicate fires. */
-void workerLoop(WorkerEnv &env, const kern::Kernel &kernel);
-
-/**
- * Assemble the FuzzReport, set the end-of-run gauges and emit the
- * `campaign_summary` telemetry event (with final crash and per-lane
- * admission totals). `timeline` is the full campaign timeline,
- * `campaign_execs` the executions of this run, `wall_sec` its
- * wall-clock duration.
- */
-FuzzReport finalizeCampaign(const CampaignShared &shared,
-                            const std::vector<Checkpoint> &timeline,
-                            uint64_t total_execs,
-                            uint64_t campaign_execs, double wall_sec,
-                            size_t workers);
-
-}  // namespace detail
-
 /** Campaign-engine configuration. */
 struct CampaignOptions
 {
-    /** Worker threads; 1 reproduces the legacy loop bit-for-bit. */
+    /** Worker threads; 1 is bit-for-bit reproducible per seed. */
     size_t workers = 1;
     FuzzOptions fuzz;
     /**
@@ -221,7 +234,7 @@ struct CampaignOptions
 
 /**
  * Runs one fuzzing campaign over N staged workers. One-shot: construct,
- * run(), then inspect corpus()/crashes().
+ * run() or runUntil(), then inspect corpus()/crashes().
  */
 class CampaignEngine
 {
@@ -231,21 +244,37 @@ class CampaignEngine
     using LocalizerFactory =
         std::function<std::unique_ptr<mut::Localizer>(size_t worker)>;
 
+    /** Early-stop predicate of runUntil (empty = never stop). */
+    using StopPredicate = std::function<bool(const CampaignEngine &)>;
+
     CampaignEngine(const kern::Kernel &kernel, CampaignOptions options,
                    LocalizerFactory make_localizer);
 
-    /** Run the campaign to budget exhaustion. Call at most once. */
+    /** Run the campaign to budget exhaustion: runUntil(never). */
     FuzzReport run();
 
-    /** @name Introspection (quiescent: before run() or after) */
+    /**
+     * Run until `stop` returns true or the budget is exhausted. The
+     * predicate sees the engine between executions (directed mode
+     * stops on reaching its target). It runs inside the worker loop,
+     * and corpus().totalCoverage() is single-threaded only, so a
+     * non-empty predicate requires `workers = 1`. One-shot: run() and
+     * runUntil() together may be called once per engine.
+     */
+    FuzzReport runUntil(const StopPredicate &stop);
+
+    /** @name Introspection (quiescent: before the run, after it, or
+     *  from a 1-worker stop predicate) */
     /** @{ */
     const Corpus &corpus() const { return corpus_; }
     CrashLog &crashes() { return crashes_; }
     const CrashLog &crashes() const { return crashes_; }
     const kern::Kernel &kernel() const { return kernel_; }
     size_t workerCount() const { return opts_.workers; }
+    /** Executions completed so far (seed stage included). */
+    uint64_t execs() const { return ledger_.completed(); }
     /** The campaign's decision policy (timeline final ticks sample
-     *  its merged posterior after run()). */
+     *  its merged posterior after the run). */
     const DecisionPolicy *policy() const { return policy_.get(); }
     /** @} */
 
@@ -257,6 +286,7 @@ class CampaignEngine
     exec::ExecutorPool executors_;
     Corpus corpus_;
     CrashLog crashes_;
+    BudgetLedger ledger_;
     std::vector<std::unique_ptr<Rng>> rngs_;
     std::vector<std::unique_ptr<mut::Localizer>> localizers_;
     bool ran_ = false;

@@ -91,7 +91,7 @@ class Corpus
      * Aggregated coverage over every executed program (not just kept).
      * Reading the returned set races with concurrent admissions — only
      * use it from single-threaded phases (setup, post-join reporting,
-     * the legacy single-worker loop).
+     * the stop predicate of a 1-worker CampaignEngine::runUntil).
      */
     const exec::CoverageSet &totalCoverage() const { return total_; }
 

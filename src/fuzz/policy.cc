@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "fuzz/campaign.h"
-#include "fuzz/fuzzer.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 
@@ -94,9 +93,8 @@ DecisionPolicy::beginCampaign(size_t workers)
 {
     if (workers == 0)
         workers = 1;
-    if (shards_.size() >= workers)
-        return;  // keep accumulated posterior (legacy runUntil reruns)
     const size_t arms = armCount();
+    shards_.clear();
     shards_.reserve(workers);
     while (shards_.size() < workers) {
         Shard shard;
@@ -108,6 +106,7 @@ DecisionPolicy::beginCampaign(size_t workers)
         }
         shards_.push_back(std::move(shard));
     }
+    mergeShards();
 }
 
 int

@@ -30,9 +30,9 @@
  * campaign's posterior evolution is bit-for-bit reproducible).
  *
  * StaticPolicy ports the historical behavior exactly — the configured
- * Scheduler (recency default, choose_test hook, directed distance) does
- * the pick, the operator comes from Mutator::selectType, and use_pmm is
- * one `rng.chance(pmm_fallback_prob)` draw in the legacy stream
+ * Scheduler (recency default or directed distance) does the pick, the
+ * operator comes from Mutator::selectType, and use_pmm is one
+ * `rng.chance(pmm_fallback_prob)` draw in the historical stream
  * position — so the default policy reproduces the pre-policy timeline
  * bit-for-bit. ThompsonPolicy replaces all three with Beta-Bernoulli
  * Thompson sampling over the merged posterior.
@@ -148,9 +148,9 @@ class DecisionPolicy
                                            const prog::Prog &prog) = 0;
 
     /**
-     * Size the per-worker reward shards. Called once before workers
-     * start; idempotent for the same worker count (repeated
-     * Fuzzer::runUntil calls keep their posterior).
+     * Start a campaign of `workers` workers: one zeroed reward shard
+     * per worker and an empty merged posterior. Called once per
+     * campaign, before any worker starts.
      */
     void beginCampaign(size_t workers);
 
@@ -229,10 +229,10 @@ class DecisionPolicy
 
 /**
  * The historical behavior behind the seam: scheduler-driven pick
- * (recency default / choose_test hook / directed distance — the old
- * Scheduler implementations become adapters here), selector-weight
- * operator choice, and the fixed §3.4 fallback probability. With the
- * legacy RNG draw order preserved exactly, a 1-worker StaticPolicy
+ * (recency default / directed distance — the Scheduler
+ * implementations become adapters here), selector-weight operator
+ * choice, and the fixed §3.4 fallback probability. With the
+ * historical RNG draw order preserved exactly, a 1-worker StaticPolicy
  * campaign reproduces the pre-policy timeline bit-for-bit.
  */
 class StaticPolicy : public DecisionPolicy

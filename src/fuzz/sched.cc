@@ -7,10 +7,9 @@
 
 namespace sp::fuzz {
 
-BudgetLedger::BudgetLedger(uint64_t budget, uint64_t align,
-                           uint64_t start)
-    : budget_(budget), align_(align == 0 ? 1 : align), next_(start),
-      completed_(start), watermark_(start)
+BudgetLedger::BudgetLedger(uint64_t budget, uint64_t align)
+    : budget_(budget), align_(align == 0 ? 1 : align), next_(0),
+      completed_(0), watermark_(0)
 {
 }
 
@@ -26,7 +25,7 @@ BudgetLedger::complete(const BudgetGrant &grant)
         std::lock_guard<std::mutex> lock(mu_);
         uint64_t mark = watermark_.load(std::memory_order_relaxed);
         if (grant.begin == mark) {
-            // Claims partition [start, claimed), so completed grants
+            // Claims partition [0, claimed), so completed grants
             // stranded above the watermark always start exactly where
             // it lands — merge every contiguous run now unblocked.
             mark += grant.count;

@@ -6,10 +6,9 @@
  *
  *  - **schedule**: a Scheduler picks the base corpus entry each worker
  *    mutates next. The default reproduces the corpus' recency-biased
- *    pick; the legacy `FuzzOptions::choose_test` hook and the directed
- *    mode's distance-guided picker (core/directed.h) are Scheduler
- *    implementations, which is the seam later corpus-scheduling work
- *    (e.g. Thompson-sampling over entries) plugs into.
+ *    pick; the directed mode's distance-guided picker (core/directed.h)
+ *    is another Scheduler implementation. StaticPolicy (policy.h)
+ *    consumes the configured Scheduler as its pick adapter.
  *
  *  - **virtual time**: the execution budget (one unit per executed
  *    test, DESIGN.md §6) becomes a shared BudgetLedger that workers
@@ -25,7 +24,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -55,18 +53,16 @@ class BudgetLedger
 {
   public:
     /**
-     * @param budget  total executions allowed (absolute, not relative
-     *                to `start`)
+     * @param budget  total executions allowed
      * @param align   checkpoint grid; grants never span a multiple
-     * @param start   slots already spent (legacy Fuzzer reruns)
      */
-    BudgetLedger(uint64_t budget, uint64_t align, uint64_t start = 0);
+    BudgetLedger(uint64_t budget, uint64_t align);
 
     /**
      * Claim up to `want` slots. The grant is trimmed to the budget and
      * to the next checkpoint boundary. With `bounded` false the budget
      * cap is ignored (the seed phase executes its whole generated
-     * corpus exactly like the legacy loop, even past the budget).
+     * corpus, even past the budget).
      */
     BudgetGrant claim(uint64_t want, bool bounded = true);
 
@@ -133,25 +129,6 @@ class RecencyScheduler : public Scheduler
     {
         return corpus.pick(rng);
     }
-};
-
-/** Adapts a legacy `choose_test` hook onto the scheduler seam. */
-class HookScheduler : public Scheduler
-{
-  public:
-    using Hook =
-        std::function<const CorpusEntry &(const Corpus &, Rng &)>;
-
-    explicit HookScheduler(Hook hook) : hook_(std::move(hook)) {}
-
-    const CorpusEntry &
-    pick(const Corpus &corpus, Rng &rng) override
-    {
-        return hook_(corpus, rng);
-    }
-
-  private:
-    Hook hook_;
 };
 
 }  // namespace sp::fuzz

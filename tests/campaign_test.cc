@@ -1,8 +1,8 @@
 // Tests for the staged campaign runtime: the virtual-time budget
 // ledger, per-worker RNG stream splitting, the sharded corpus under
-// concurrency, and the campaign engine itself — including the hard
-// guarantee that a 1-worker campaign reproduces the legacy
-// single-threaded fuzzer bit-for-bit.
+// concurrency, and the campaign engine itself (1-worker determinism,
+// the multi-worker checkpoint grid, lane accounting, the scheduler
+// seam).
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "core/snowplow.h"
 #include "fuzz/campaign.h"
-#include "fuzz/fuzzer.h"
 #include "kernel/subsystems.h"
 #include "prog/gen.h"
 
@@ -113,14 +112,6 @@ TEST(BudgetLedger, UnboundedClaimsIgnoreTheBudget)
     EXPECT_TRUE(ledger.exhausted());
     EXPECT_TRUE(ledger.claim(1).empty());
     EXPECT_EQ(ledger.completed(), 8u);
-}
-
-TEST(BudgetLedger, StartOffsetResumesTheGrid)
-{
-    BudgetLedger ledger(100, 10, /*start=*/37);
-    auto grant = ledger.claim(50);
-    EXPECT_EQ(grant.begin, 37u);
-    EXPECT_EQ(grant.count, 3u);  // up to 40, the next boundary
 }
 
 TEST(BudgetLedger, PrefixWatermarkAdvancesOnlyContiguously)
@@ -230,46 +221,6 @@ TEST(ShardedCorpus, ConcurrentAdmissionKeepsCountsConsistent)
     EXPECT_GT(seen.size(), 1u);
 }
 
-TEST(CampaignEngine, OneWorkerMatchesLegacyFuzzerSyzkaller)
-{
-    const auto &kernel = testKernel();
-    const auto opts = smallCampaign(33);
-
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<mut::RandomLocalizer>());
-    const auto legacy = fuzzer.run();
-
-    CampaignOptions campaign_opts;
-    campaign_opts.workers = 1;
-    campaign_opts.fuzz = opts;
-    auto engine = core::makeSyzkallerCampaign(kernel, campaign_opts);
-    const auto staged = engine->run();
-
-    expectSameReport(legacy, staged);
-    EXPECT_EQ(fuzzer.crashes().uniqueCrashes(),
-              engine->crashes().uniqueCrashes());
-}
-
-TEST(CampaignEngine, OneWorkerMatchesLegacyFuzzerSnowplow)
-{
-    const auto &kernel = testKernel();
-    const auto opts = smallCampaign(77);
-    core::Pmm model;  // deterministic default-initialized weights
-
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<core::PmmLocalizer>(kernel, model));
-    const auto legacy = fuzzer.run();
-
-    CampaignOptions campaign_opts;
-    campaign_opts.workers = 1;
-    campaign_opts.fuzz = opts;
-    auto engine =
-        core::makeSnowplowCampaign(kernel, model, campaign_opts);
-    const auto staged = engine->run();
-
-    expectSameReport(legacy, staged);
-}
-
 TEST(CampaignEngine, RunsAreDeterministicGivenSeed)
 {
     const auto &kernel = testKernel();
@@ -335,23 +286,32 @@ TEST(CampaignEngine, LaneCountsAreConsistent)
     EXPECT_GT(report.lane(MutationLane::Structural).produced, 0u);
 }
 
+/** Uniform pick that counts its calls. */
+class CountingScheduler : public Scheduler
+{
+  public:
+    const CorpusEntry &
+    pick(const Corpus &corpus, Rng &rng) override
+    {
+        picks.fetch_add(1);
+        return corpus.entry(rng.below(corpus.size()));
+    }
+
+    std::atomic<uint64_t> picks{0};
+};
+
 TEST(CampaignEngine, SchedulerSeamIsHonored)
 {
     const auto &kernel = testKernel();
     CampaignOptions campaign_opts;
     campaign_opts.workers = 1;
     campaign_opts.fuzz = smallCampaign(3);
-    std::atomic<uint64_t> picks{0};
-    campaign_opts.fuzz.choose_test =
-        [&picks](const Corpus &corpus,
-                 Rng &rng) -> const CorpusEntry & {
-        picks.fetch_add(1);
-        return corpus.entry(rng.below(corpus.size()));
-    };
+    auto scheduler = std::make_shared<CountingScheduler>();
+    campaign_opts.fuzz.scheduler = scheduler;
 
     auto engine = core::makeSyzkallerCampaign(kernel, campaign_opts);
     const auto report = engine->run();
-    EXPECT_GT(picks.load(), 0u);
+    EXPECT_GT(scheduler->picks.load(), 10u);
     EXPECT_EQ(report.execs, campaign_opts.fuzz.exec_budget);
 }
 

@@ -129,7 +129,7 @@ TEST(AsyncLocalizer, EventuallyMatchesSyncPredictions)
     EXPECT_EQ(landed_cache->misses(), misses_after_landing);
 }
 
-TEST(AsyncLocalizer, FuzzerIntegrationRuns)
+TEST(AsyncLocalizer, CampaignIntegrationRuns)
 {
     const auto &kernel = testKernel();
     PmmConfig config;
@@ -139,12 +139,12 @@ TEST(AsyncLocalizer, FuzzerIntegrationRuns)
     Pmm model(config);
     InferenceService service(model, 2);
 
-    fuzz::FuzzOptions opts;
-    opts.exec_budget = 1500;
-    opts.seed = 3;
-    opts.seed_corpus_size = 12;
-    auto fuzzer = makeAsyncSnowplowFuzzer(kernel, service, opts);
-    auto report = fuzzer->run();
+    fuzz::CampaignOptions opts;
+    opts.fuzz.exec_budget = 1500;
+    opts.fuzz.seed = 3;
+    opts.fuzz.seed_corpus_size = 12;
+    auto engine = makeAsyncSnowplowCampaign(kernel, service, opts);
+    auto report = engine->run();
     EXPECT_EQ(report.execs, 1500u);
     EXPECT_GT(report.final_edges, 50u);
 }

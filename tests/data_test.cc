@@ -11,6 +11,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <string>
@@ -29,6 +30,7 @@
 #include "fuzz/campaign.h"
 #include "kernel/subsystems.h"
 #include "prog/serialize.h"
+#include "prog/validate.h"
 #include "util/logging.h"
 
 namespace sp::data {
@@ -338,6 +340,65 @@ TEST(Store, LoadRejectsWrongKernel)
     const auto other = kern::buildBaseKernel(params);
     EXPECT_NE(kernelFingerprint(other), kernelFingerprint(testKernel()));
     EXPECT_DEATH(loadStore(other, paths), "fingerprint");
+}
+
+/**
+ * A dataset base with one len field bumped past its buffer's size: its
+ * text still parses, but validateProg rejects it (the state a mutated
+ * or hand-edited stored text can reach).
+ */
+prog::Prog
+baseWithBadLength()
+{
+    for (const auto &base : smallDataset().bases) {
+        for (size_t c = 0; c < base.calls.size(); ++c) {
+            std::vector<std::vector<uint16_t>> len_paths;
+            prog::visitArgs(base.calls[c],
+                            [&len_paths](const prog::Arg &arg,
+                                         const std::vector<uint16_t> &at) {
+                                if (arg.type->kind == prog::TypeKind::Len)
+                                    len_paths.push_back(at);
+                            });
+            for (const auto &at : len_paths) {
+                prog::Prog candidate;
+                candidate.calls = base.calls;
+                prog::argAtPath(candidate.calls[c], at).scalar += 1;
+                if (prog::validateProg(candidate))
+                    return candidate;
+            }
+        }
+    }
+    return {};
+}
+
+TEST(Store, LoadRejectsBaseFailingValidation)
+{
+    const auto &kernel = testKernel();
+    const prog::Prog broken = baseWithBadLength();
+    ASSERT_FALSE(broken.calls.empty());
+
+    BaseRecord record;
+    record.text = prog::formatProg(broken);
+    auto parsed = prog::parseProg(record.text, kernel.table());
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_TRUE(prog::validateProg(*parsed.prog).has_value());
+    // Record the coverage it really produces, so only validation can
+    // reject it.
+    exec::Executor executor(kernel);
+    const auto result = executor.run(*parsed.prog);
+    record.base_hash = 0x5eedull;
+    record.blocks.assign(result.coverage.blocks().begin(),
+                         result.coverage.blocks().end());
+    std::sort(record.blocks.begin(), record.blocks.end());
+    record.edges = result.coverage.edgeCount();
+
+    const std::string path = scratchDir() + "/invalid.spds";
+    {
+        ShardWriter writer(path, kernelFingerprint(kernel));
+        writer.append(record);
+        writer.close();
+    }
+    EXPECT_DEATH(loadStore(kernel, {path}), "violation");
 }
 
 TEST(Store, SplitOfBaseIsDeterministicAndProportional)

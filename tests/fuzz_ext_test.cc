@@ -1,13 +1,8 @@
-// Tests for the fuzzing extensions: corpus persistence (seedpool), the
-// crash-report formatter, and the white-box oracle localizer.
+// Tests for the fuzzing extensions: the white-box oracle localizer.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "core/oracle.h"
-#include "fuzz/report.h"
-#include "fuzz/seedpool.h"
 #include "kernel/subsystems.h"
 #include "mutate/mutator.h"
 #include "prog/gen.h"
@@ -24,106 +19,6 @@ testKernel()
         return kern::buildBaseKernel(params);
     }();
     return kernel;
-}
-
-TEST(SeedPool, ProgramsRoundTripThroughDisk)
-{
-    const auto &kernel = testKernel();
-    Rng rng(4);
-    auto programs = prog::generateCorpus(rng, kernel.table(), 25);
-    const std::string path = "/tmp/sp_seedpool_test.txt";
-    fuzz::savePrograms(programs, path);
-
-    auto loaded = fuzz::loadPrograms(path, kernel.table());
-    ASSERT_EQ(loaded.size(), programs.size());
-    for (size_t i = 0; i < programs.size(); ++i)
-        EXPECT_TRUE(programs[i].equals(loaded[i])) << i;
-    std::remove(path.c_str());
-}
-
-TEST(SeedPool, CorpusSaveLoad)
-{
-    const auto &kernel = testKernel();
-    exec::Executor executor(kernel);
-    Rng rng(5);
-    fuzz::Corpus corpus;
-    auto programs = prog::generateCorpus(rng, kernel.table(), 20);
-    uint64_t counter = 0;
-    for (const auto &program : programs)
-        corpus.maybeAdd(program, executor.run(program), ++counter);
-    ASSERT_GT(corpus.size(), 3u);
-
-    const std::string path = "/tmp/sp_corpus_test.txt";
-    fuzz::saveCorpus(corpus, path);
-    auto loaded = fuzz::loadPrograms(path, kernel.table());
-    EXPECT_EQ(loaded.size(), corpus.size());
-    std::remove(path.c_str());
-}
-
-TEST(SeedPool, MissingFileYieldsEmpty)
-{
-    EXPECT_TRUE(fuzz::loadPrograms("/tmp/sp_no_such_corpus.txt",
-                                   testKernel().table())
-                    .empty());
-}
-
-TEST(SeedPool, UnparsableBlocksAreSkipped)
-{
-    const auto &kernel = testKernel();
-    const std::string path = "/tmp/sp_corpus_bad_test.txt";
-    {
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        std::fprintf(f, "nosuchcall(0x1)\n\nread(nil, nil, 0x0)\n");
-        std::fclose(f);
-    }
-    auto loaded = fuzz::loadPrograms(path, kernel.table());
-    ASSERT_EQ(loaded.size(), 1u);
-    EXPECT_EQ(loaded[0].calls[0].decl->name, "read");
-    std::remove(path.c_str());
-}
-
-TEST(Report, FormatsTheAtaCrash)
-{
-    const auto &kernel = testKernel();
-    // Build the exact ATA trigger (see kernel_test for the layout).
-    prog::Prog trigger;
-    prog::Call open_call;
-    open_call.decl = kernel.table().find("open$scsi");
-    open_call.args = prog::defaultArgs(*open_call.decl);
-    prog::fixupLengths(open_call);
-    trigger.calls.push_back(std::move(open_call));
-
-    prog::Call ioctl_call;
-    ioctl_call.decl = kernel.table().find("ioctl$scsi");
-    ioctl_call.args = prog::defaultArgs(*ioctl_call.decl);
-    ioctl_call.args[0]->result_ref = 0;
-    ioctl_call.args[1]->scalar = kern::kScsiIoctlSendCommand;
-    auto &req = *ioctl_call.args[2]->pointee;
-    req.fields[0]->scalar = kern::kScsiProtoAta16;
-    req.fields[1]->scalar = kern::kAtaCmdNop;
-    req.fields[2]->scalar = kern::kAtaProtPio;
-    req.fields[3]->scalar = kern::kAtaMaxDataLen + 1;
-    prog::fixupLengths(ioctl_call);
-    trigger.calls.push_back(std::move(ioctl_call));
-
-    exec::Executor executor(kernel);
-    auto result = executor.run(trigger);
-    ASSERT_TRUE(result.crashed);
-
-    fuzz::CrashLog log(kernel);
-    log.record(result.bug_index, trigger, 7);
-    log.reproduceAll();
-
-    auto report =
-        fuzz::formatCrashReport(kernel, log.records()[0]);
-    // The crafted ioctl may trip a generated bug planted earlier on
-    // the same path; the report must be complete either way.
-    EXPECT_NE(report.find("BUG: "), std::string::npos);
-    EXPECT_NE(report.find(log.records()[0].description),
-              std::string::npos);
-    EXPECT_NE(report.find("call trace (inside"), std::string::npos);
-    EXPECT_NE(report.find("<- faulting block"), std::string::npos);
-    EXPECT_NE(report.find("reproducer:"), std::string::npos);
 }
 
 TEST(Oracle, SelectsGuardArguments)

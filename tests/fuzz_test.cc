@@ -1,9 +1,9 @@
-// Tests for the fuzzing loop, corpus discipline and crash handling.
+// Tests for the campaign loop, corpus discipline and crash handling.
 
 #include <gtest/gtest.h>
 
 #include "core/snowplow.h"
-#include "fuzz/fuzzer.h"
+#include "fuzz/campaign.h"
 #include "kernel/subsystems.h"
 #include "prog/gen.h"
 
@@ -141,18 +141,24 @@ TEST(CrashLog, ReproducesDeterministicCrashAndMinimizes)
     EXPECT_EQ(record.reproducer.calls[1].decl->name, "ioctl$scsi");
 }
 
-TEST(Fuzzer, MakesProgressWithinBudget)
+CampaignOptions
+oneWorker(uint64_t budget, size_t seed_corpus, uint64_t seed)
+{
+    CampaignOptions opts;
+    opts.fuzz.exec_budget = budget;
+    opts.fuzz.seed_corpus_size = seed_corpus;
+    opts.fuzz.seed = seed;
+    return opts;
+}
+
+TEST(CampaignEngine, MakesProgressWithinBudget)
 {
     const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 3000;
-    opts.seed_corpus_size = 20;
-    opts.seed = 9;
-    opts.checkpoint_every = 500;
-    auto fuzzer = core::makeSyzkallerFuzzer(kernel, opts);
-    auto report = fuzzer->run();
+    auto opts = oneWorker(3000, 20, 9);
+    opts.fuzz.checkpoint_every = 500;
+    auto report = core::makeSyzkallerCampaign(kernel, opts)->run();
 
-    EXPECT_EQ(report.execs, opts.exec_budget);
+    EXPECT_EQ(report.execs, opts.fuzz.exec_budget);
     EXPECT_GT(report.final_edges, 100u);
     EXPECT_GE(report.corpus_size, 10u);
     ASSERT_GE(report.timeline.size(), 2u);
@@ -165,77 +171,58 @@ TEST(Fuzzer, MakesProgressWithinBudget)
     EXPECT_GT(report.final_edges, report.timeline.front().edges);
 }
 
-TEST(Fuzzer, DeterministicGivenSeed)
+TEST(CampaignEngine, DifferentSeedsExploreDifferently)
 {
     const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 1500;
-    opts.seed_corpus_size = 15;
-    opts.seed = 33;
-    auto a = core::makeSyzkallerFuzzer(kernel, opts)->run();
-    auto b = core::makeSyzkallerFuzzer(kernel, opts)->run();
-    EXPECT_EQ(a.final_edges, b.final_edges);
-    EXPECT_EQ(a.corpus_size, b.corpus_size);
-}
-
-TEST(Fuzzer, DifferentSeedsExploreDifferently)
-{
-    const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 1500;
-    opts.seed_corpus_size = 15;
-    opts.seed = 1;
-    auto a = core::makeSyzkallerFuzzer(kernel, opts)->run();
-    opts.seed = 2;
-    auto b = core::makeSyzkallerFuzzer(kernel, opts)->run();
+    auto a = core::makeSyzkallerCampaign(kernel, oneWorker(1500, 15, 1))
+                 ->run();
+    auto b = core::makeSyzkallerCampaign(kernel, oneWorker(1500, 15, 2))
+                 ->run();
     EXPECT_NE(a.final_edges, b.final_edges);
 }
 
-TEST(Fuzzer, RunUntilStopsEarly)
+TEST(CampaignEngine, RunUntilStopsEarly)
 {
     const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 100000;
-    opts.seed_corpus_size = 10;
-    opts.seed = 3;
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<mut::RandomLocalizer>());
-    auto report = fuzzer.runUntil(
-        [](const Fuzzer &f) { return f.execs() >= 700; });
+    auto engine =
+        core::makeSyzkallerCampaign(kernel, oneWorker(100000, 10, 3));
+    auto report = engine->runUntil(
+        [](const CampaignEngine &e) { return e.execs() >= 700; });
     EXPECT_LT(report.execs, 2000u);
     EXPECT_GE(report.execs, 700u);
+    EXPECT_EQ(engine->execs(), report.execs);
 }
 
-TEST(Fuzzer, FindsShallowCrashes)
+TEST(CampaignEngine, FindsShallowCrashes)
 {
     const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 8000;
-    opts.seed_corpus_size = 30;
-    opts.seed = 12;
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<mut::RandomLocalizer>());
-    fuzzer.run();
-    EXPECT_GT(fuzzer.crashes().uniqueCrashes(), 0u);
+    auto engine =
+        core::makeSyzkallerCampaign(kernel, oneWorker(8000, 30, 12));
+    engine->run();
+    EXPECT_GT(engine->crashes().uniqueCrashes(), 0u);
 }
 
-TEST(Fuzzer, ChooseTestHookIsHonored)
+TEST(CampaignEngineDeathTest, SecondRunIsRejected)
 {
     const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 1200;
-    opts.seed_corpus_size = 10;
-    opts.seed = 5;
-    size_t hook_calls = 0;
-    opts.choose_test = [&hook_calls](const Corpus &corpus,
-                                     Rng &rng) -> const CorpusEntry & {
-        ++hook_calls;
-        return corpus.entry(rng.below(corpus.size()));
-    };
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<mut::RandomLocalizer>());
-    fuzzer.run();
-    EXPECT_GT(hook_calls, 10u);
+    auto engine =
+        core::makeSyzkallerCampaign(kernel, oneWorker(300, 5, 4));
+    engine->run();
+    const CampaignEngine::StopPredicate stop_now =
+        [](const CampaignEngine &) { return true; };
+    EXPECT_DEATH(engine->run(), "ran_");
+    EXPECT_DEATH(engine->runUntil(stop_now), "ran_");
+}
+
+TEST(CampaignEngineDeathTest, StopPredicateNeedsOneWorker)
+{
+    const auto &kernel = testKernel();
+    auto opts = oneWorker(300, 5, 4);
+    opts.workers = 2;
+    auto engine = core::makeSyzkallerCampaign(kernel, opts);
+    const CampaignEngine::StopPredicate never =
+        [](const CampaignEngine &) { return false; };
+    EXPECT_DEATH(engine->runUntil(never), "workers == 1");
 }
 
 }  // namespace

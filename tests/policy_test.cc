@@ -18,7 +18,6 @@
 #include "core/infer.h"
 #include "core/snowplow.h"
 #include "fuzz/campaign.h"
-#include "fuzz/fuzzer.h"
 #include "fuzz/policy.h"
 #include "kernel/subsystems.h"
 #include "prog/gen.h"
@@ -134,10 +133,6 @@ TEST(StaticPolicy, ReproducesPreRefactorSyzkallerTimeline)
     lanes.produced = {20, 1332, 148};
     lanes.admitted = {18, 42, 14};
 
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<mut::RandomLocalizer>());
-    expectGolden(fuzzer.run(), golden, 237, 209, 1500, 74, 4, lanes);
-
     CampaignOptions campaign_opts;
     campaign_opts.workers = 1;
     campaign_opts.fuzz = opts;
@@ -158,10 +153,6 @@ TEST(StaticPolicy, ReproducesPreRefactorSnowplowTimeline)
     GoldenLanes lanes;
     lanes.produced = {20, 1330, 150};
     lanes.admitted = {17, 38, 8};
-
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<core::PmmLocalizer>(kernel, model));
-    expectGolden(fuzzer.run(), golden, 261, 224, 1500, 63, 5, lanes);
 
     CampaignOptions campaign_opts;
     campaign_opts.workers = 1;
