@@ -40,7 +40,7 @@ OracleLocalizer::localizeWithResult(const prog::Prog &prog,
         const prog::Call &call = prog.calls[trace.call_index];
         // Slot -> mutation point of this call.
         auto points = prog::mutationPoints(call);
-        const auto descs = prog::enumerateSlots(*call.decl);
+        const auto &descs = call.decl->slots();
 
         for (uint32_t block : trace.blocks) {
             const auto &bb = kernel_.block(block);

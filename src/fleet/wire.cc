@@ -55,20 +55,23 @@ bool
 sendFrame(int fd, MsgType type, const std::vector<uint8_t> &payload,
           uint64_t *bytes)
 {
-    uint8_t header[kHeaderBytes];
+    // Header and payload go out in one write: as two sends on a socket
+    // without TCP_NODELAY, Nagle would hold the payload until the
+    // peer's delayed ACK of the header.
     const auto len = static_cast<uint32_t>(payload.size());
-    put32(header, kWireMagic);
-    put16(header + 4, kWireVersion);
-    put16(header + 6, static_cast<uint16_t>(type));
-    put32(header + 8, len);
-    put32(header + 12,
+    std::vector<uint8_t> frame(kHeaderBytes + len);
+    put32(frame.data(), kWireMagic);
+    put16(frame.data() + 4, kWireVersion);
+    put16(frame.data() + 6, static_cast<uint16_t>(type));
+    put32(frame.data() + 8, len);
+    put32(frame.data() + 12,
           frameCrc(static_cast<uint16_t>(type), len, payload.data()));
-    if (!obs::sendAll(fd, header, sizeof(header)))
-        return false;
-    if (len != 0 && !obs::sendAll(fd, payload.data(), len))
+    if (len != 0)
+        std::memcpy(frame.data() + kHeaderBytes, payload.data(), len);
+    if (!obs::sendAll(fd, frame.data(), frame.size()))
         return false;
     if (bytes != nullptr)
-        *bytes += sizeof(header) + len;
+        *bytes += frame.size();
     return true;
 }
 

@@ -482,25 +482,28 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
         ctx.now_slot = ledger.claimed();
 
         // Schedule stage: the policy picks the base entry and
-        // arbitrates this round's localization channel. Copy the
-        // picked entry out: base references into the corpus shouldn't
-        // be held across mutant executions.
+        // arbitrates this round's localization channel. The base
+        // program is read in place: Corpus::pick's reference stays
+        // valid for the whole campaign (deque storage) and admitted
+        // programs are never written again. The base result is copied:
+        // its CoverageSet may still be staged, and the first blocks()
+        // or edges() read (a learned localizer's query) promotes it
+        // under const, which must not happen on a set other workers
+        // read too.
         Decision decision;
-        prog::Prog base_program;
         exec::ExecResult base_result;
         {
             boardStage(env, obs::WorkerStage::Schedule);
             obs::TraceSpan span(obs::SpanKind::Schedule);
             decision = shared.policy->decide(ctx, *env.rng);
-            base_program.calls = decision.seed->program.calls;
             base_result = decision.seed->result;
         }
+        const prog::Prog &base_program = decision.seed->program;
 
-        // Localize stage, then instantiate + execute per site. The
-        // base program is copied once per instantiated mutant. The
-        // localizer reports which channel *actually* answered (an
-        // async model can be forced onto the random fallback), and the
-        // argument lane's rewards are attributed to that channel.
+        // Localize stage. The localizer reports which channel
+        // *actually* answered (an async model can be forced onto the
+        // random fallback), and the argument lane's rewards are
+        // attributed to that channel.
         mut::Localization loc;
         {
             boardStage(env, obs::WorkerStage::Localize);
@@ -513,12 +516,25 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
         const int arg_arm = shared.policy->armFor(
             decision.seed_bucket, mut::MutationType::ArgumentMutation,
             loc.channel);
+
+        // Instantiate + execute per site on one scratch copy of the
+        // base per round. Instantiation writes only the site's call
+        // (resource rewiring reads the other calls' decls; length
+        // fixups and regenerated pointees stay inside the call), so
+        // saving that call before each mutant and moving it back
+        // afterwards restores the base exactly, without copying the
+        // rest of the program.
+        prog::Prog mutant;
+        if (!loc.sites.empty())
+            mutant.calls = base_program.calls;
         for (const auto &site : loc.sites) {
             for (size_t m = 0;
                  m < opts.mutations_per_site && !ledger.exhausted();
                  ++m) {
-                prog::Prog mutant;
-                mutant.calls = base_program.calls;
+                // A stale site (no such call) instantiates nothing.
+                if (site.call_index >= mutant.calls.size())
+                    break;
+                prog::Call saved = mutant.calls[site.call_index];
                 bool instantiated;
                 {
                     boardStage(env, obs::WorkerStage::Instantiate);
@@ -526,11 +542,14 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
                     instantiated = env.mutator->instantiateArgMutation(
                         mutant, site, *env.rng);
                 }
+                if (instantiated) {
+                    executeSlot(env, mutant, MutationLane::Argument,
+                                &site, /*bounded=*/true, arg_arm,
+                                &base_program, &base_result);
+                }
+                mutant.calls[site.call_index] = std::move(saved);
                 if (!instantiated)
                     break;
-                executeSlot(env, mutant, MutationLane::Argument, &site,
-                            /*bounded=*/true, arg_arm, &base_program,
-                            &base_result);
             }
             if (ledger.exhausted() || shared.stopped())
                 break;
@@ -851,8 +870,9 @@ CampaignEngine::runUntil(const StopPredicate &stop)
                 ? static_cast<double>(env.wall_us - env.wait_us) /
                       static_cast<double>(env.wall_us)
                 : 0.0;
-        reg.gauge(obs::workerMetric("fuzz.worker_busy_ratio", w))
-            .set(busy);
+        // setGauge, not gauge().set(): a campaign starting on another
+        // thread unregisters these gauges (see the top of runUntil).
+        reg.setGauge(obs::workerMetric("fuzz.worker_busy_ratio", w), busy);
     }
 
     const double wall_sec =

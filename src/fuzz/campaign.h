@@ -170,9 +170,13 @@ struct FuzzReport
 
 /**
  * One executed argument-lane mutant, offered to the campaign's
- * mutation observer right after triage/admit. All pointers reference
- * worker-stack state and are valid ONLY for the duration of the
- * callback — an observer that wants the data must copy it. The
+ * mutation observer right after triage/admit. All pointers are valid
+ * ONLY for the duration of the callback — an observer that wants the
+ * data must copy it. `mutant` is the worker's scratch copy of the
+ * base, which the worker turns back into the base right after the
+ * callback: it has the base's call count and differs from `*base` at
+ * most in call `site->call_index`. `base` points into the picked
+ * corpus entry, `base_result` to the worker's copy of its result. The
  * callback runs on the worker thread inside the execute stage, so
  * observers must be cheap and thread-safe (multiple workers call
  * concurrently); anything expensive belongs on the observer's own

@@ -404,7 +404,7 @@ ThompsonPolicy::pickOperator(const DecisionContext &ctx,
     const auto &mopts = ctx.mutator->options();
     bool feasible[kOpClasses];
     feasible[opClassIndex(mut::MutationType::ArgumentMutation)] =
-        !mut::allArgLocations(prog).empty();
+        mut::hasArgLocation(prog);
     feasible[opClassIndex(mut::MutationType::CallInsertion)] =
         prog.calls.size() < mopts.max_calls;
     feasible[opClassIndex(mut::MutationType::CallRemoval)] =

@@ -75,8 +75,7 @@ buildQueryGraph(const kern::Kernel &kernel, const prog::Prog &prog,
         // Slot ownership: every slot whose SlotDesc path equals a
         // mutation point's path belongs to that point (covers the two
         // buffer slots and pointer-nullness slots).
-        const auto slot_descs =
-            prog::enumerateSlots(*prog.calls[i].decl);
+        const auto &slot_descs = prog.calls[i].decl->slots();
 
         uint32_t prev_arg_node = kern::kNoBlock;
         for (auto &point : prog::mutationPoints(prog.calls[i])) {

@@ -39,8 +39,8 @@ KernelBuilder::beginHandler(prog::SyscallDecl decl)
     SP_ASSERT(!finished_);
     const auto id = static_cast<uint32_t>(kernel_.table_.decls.size());
     decl.id = id;
-    const uint16_t num_slots =
-        static_cast<uint16_t>(prog::slotCount(decl));
+    decl.finalize();
+    const auto num_slots = static_cast<uint16_t>(decl.slots().size());
     SP_ASSERT(num_slots <= token::kMaxSlots,
               "syscall %s has %u slots, vocabulary supports %u",
               decl.name.c_str(), num_slots, token::kMaxSlots);

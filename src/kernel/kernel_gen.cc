@@ -201,8 +201,7 @@ class Generator
 
         HandlerInfo info;
         info.name = decl.name;
-        auto slots_decl = decl;  // enumerate before move
-        info.slots = prog::enumerateSlots(slots_decl);
+        info.slots = prog::enumerateSlots(decl);
         info.id = builder_.beginHandler(std::move(decl));
 
         if (is_producer) {

@@ -19,6 +19,15 @@ allArgLocations(const prog::Prog &prog)
     return locations;
 }
 
+bool
+hasArgLocation(const prog::Prog &prog)
+{
+    for (const auto &call : prog.calls)
+        if (prog::hasMutationPoint(call))
+            return true;
+    return false;
+}
+
 std::vector<ArgLocation>
 RandomLocalizer::localize(const prog::Prog &prog, Rng &rng,
                           size_t max_sites)

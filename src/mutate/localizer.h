@@ -31,6 +31,9 @@ struct ArgLocation
 /** Every mutable argument of the program, in program order. */
 std::vector<ArgLocation> allArgLocations(const prog::Prog &prog);
 
+/** Same as `!allArgLocations(prog).empty()`, stopping at the first. */
+bool hasArgLocation(const prog::Prog &prog);
+
 /**
  * Which mechanism actually produced a round's localization. The fuzz
  * loop's decision policy arbitrates model-vs-random *up front*

@@ -118,7 +118,7 @@ Mutator::selectType(Rng &rng, const prog::Prog &prog) const
         weights[1] = 0.0;
     if (prog.calls.size() <= 1)
         weights[2] = 0.0;
-    if (allArgLocations(prog).empty())
+    if (!hasArgLocation(prog))
         weights[0] = 0.0;
     switch (rng.weightedIndex(weights)) {
       case 0:

@@ -134,6 +134,19 @@ Gauge &
 Registry::gauge(const std::string &name)
 {
     std::lock_guard<std::mutex> guard(mu_);
+    return gaugeLocked(name);
+}
+
+void
+Registry::setGauge(const std::string &name, double value)
+{
+    std::lock_guard<std::mutex> guard(mu_);
+    gaugeLocked(name).set(value);
+}
+
+Gauge &
+Registry::gaugeLocked(const std::string &name)
+{
     SP_ASSERT(counters_.count(name) == 0 && histograms_.count(name) == 0,
               "metric name registered with a different kind");
     auto it = gauges_.find(name);

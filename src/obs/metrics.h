@@ -176,13 +176,22 @@ class Registry
 
     /**
      * Drop every gauge whose name starts with `prefix`; returns how
-     * many were removed. ONLY safe for names no call site caches a
+     * many were removed. ONLY safe for names no call site holds a
      * handle to (handles are otherwise stable for the registry's
-     * lifetime) — in practice the per-campaign worker-tagged gauges
+     * lifetime), not even briefly: write such gauges with setGauge.
+     * In practice these are the per-campaign worker-tagged gauges
      * (`fuzz.worker_busy_ratio.w3`), which would otherwise linger in
      * snapshots of later campaigns run with fewer workers.
      */
     size_t unregisterGaugesWithPrefix(const std::string &prefix);
+
+    /**
+     * Register `name` if needed and set it, under the registry lock.
+     * Unlike `gauge(name).set(v)`, a concurrent
+     * unregisterGaugesWithPrefix (another campaign starting in the
+     * same process) cannot free the gauge between lookup and write.
+     */
+    void setGauge(const std::string &name, double value);
 
     /**
      * Zero every gauge whose name starts with `prefix` (names stay
@@ -214,6 +223,9 @@ class Registry
     size_t resetDistributionsWithPrefix(const std::string &prefix);
 
   private:
+    /** gauge() without taking mu_ (callers hold it). */
+    Gauge &gaugeLocked(const std::string &name);
+
     mutable std::mutex mu_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -14,9 +14,9 @@
 
 namespace sp::obs {
 
-namespace {
+std::atomic<bool> detail::g_trace_enabled{false};
 
-std::atomic<bool> g_trace_enabled{false};
+namespace {
 
 /** Introspection claims: tracer + each status server hold one while
  *  alive; the board is live while any claim is held. */
@@ -388,12 +388,6 @@ spanKindName(SpanKind kind)
     return "?";
 }
 
-bool
-traceEnabled()
-{
-    return g_trace_enabled.load(std::memory_order_relaxed);
-}
-
 void
 installTracer(const TraceOptions &opts)
 {
@@ -419,7 +413,7 @@ installTracer(const TraceOptions &opts)
     armCrashHooks();
     g_auto_dumped.store(false, std::memory_order_release);
     g_exporting.store(true, std::memory_order_release);
-    g_trace_enabled.store(true, std::memory_order_release);
+    detail::g_trace_enabled.store(true, std::memory_order_release);
     // Released by shutdownTracer() — the watchdog reads the board, so
     // the claim must outlive it, not any status server.
     claimIntrospection();
@@ -433,7 +427,7 @@ void
 shutdownTracer()
 {
     TracerState &state = tracerState();
-    g_trace_enabled.store(false, std::memory_order_release);
+    detail::g_trace_enabled.store(false, std::memory_order_release);
     g_exporting.store(false, std::memory_order_release);
     state.watchdog_stop.store(true, std::memory_order_release);
     if (state.watchdog.joinable())
@@ -511,22 +505,17 @@ TraceScope::~TraceScope()
     t_trace_id = saved_;
 }
 
-TraceSpan::TraceSpan(SpanKind kind, uint64_t arg)
-    : TraceSpan(kind, traceEnabled() ? t_trace_id : 0, arg)
+void
+TraceSpan::open(uint64_t trace_id)
 {
-}
-
-TraceSpan::TraceSpan(SpanKind kind, uint64_t trace_id, uint64_t arg)
-    : trace_id_(traceEnabled() ? trace_id : 0), arg_(arg), kind_(kind)
-{
+    trace_id_ = trace_id;
     if (trace_id_ != 0)
         start_us_ = monotonicMicros();
 }
 
-TraceSpan::~TraceSpan()
+void
+TraceSpan::close()
 {
-    if (trace_id_ == 0)
-        return;
     const uint64_t end = monotonicMicros();
     record(kind_, trace_id_, start_us_, end - start_us_, arg_);
 }

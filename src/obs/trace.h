@@ -86,8 +86,17 @@ struct TraceOptions
     uint64_t stall_timeout_us = 0;
 };
 
+namespace detail {
+/** The traceEnabled() flag, set by installTracer/shutdownTracer. */
+extern std::atomic<bool> g_trace_enabled;
+}  // namespace detail
+
 /** Cached gate for span recording (one relaxed load when off). */
-bool traceEnabled();
+inline bool
+traceEnabled()
+{
+    return detail::g_trace_enabled.load(std::memory_order_relaxed);
+}
 
 /**
  * Install the process-wide tracer: enables span recording, arms the
@@ -136,10 +145,26 @@ class TraceSpan
 {
   public:
     /** Span under the thread's current trace id. */
-    explicit TraceSpan(SpanKind kind, uint64_t arg = 0);
+    explicit TraceSpan(SpanKind kind, uint64_t arg = 0)
+        : arg_(arg), kind_(kind)
+    {
+        if (traceEnabled())
+            open(currentTraceId());
+    }
+
     /** Span under an explicit trace id (cross-thread hand-offs). */
-    TraceSpan(SpanKind kind, uint64_t trace_id, uint64_t arg);
-    ~TraceSpan();
+    TraceSpan(SpanKind kind, uint64_t trace_id, uint64_t arg)
+        : arg_(arg), kind_(kind)
+    {
+        if (traceEnabled())
+            open(trace_id);
+    }
+
+    ~TraceSpan()
+    {
+        if (trace_id_ != 0)
+            close();
+    }
 
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;
@@ -148,6 +173,11 @@ class TraceSpan
     void setArg(uint64_t arg) { arg_ = arg; }
 
   private:
+    /** Out-of-line halves of an enabled span: the disabled path above
+     *  stays one inlined relaxed load. */
+    void open(uint64_t trace_id);
+    void close();
+
     uint64_t trace_id_ = 0;  ///< 0 = inactive
     uint64_t start_us_ = 0;
     uint64_t arg_ = 0;

@@ -7,51 +7,25 @@ namespace sp::prog {
 
 namespace {
 
-void
-enumerateType(const TypeRef &type, std::vector<uint16_t> &path,
-              uint32_t &next, std::vector<SlotDesc> &out)
+/**
+ * Whether the node owning `slot` exists in this call's value: slots
+ * inside a currently-null pointer have no node to mutate until the
+ * pointer is made non-null (the PtrNull slot itself stays reachable).
+ */
+bool
+reachable(const Call &call, const SlotDesc &slot)
 {
-    auto emit = [&](SlotRole role, bool is_mutable) {
-        SlotDesc desc;
-        desc.index = next++;
-        desc.type = type;
-        desc.role = role;
-        desc.path = path;
-        desc.is_mutable = is_mutable;
-        out.push_back(std::move(desc));
-    };
-
-    switch (type->kind) {
-      case TypeKind::Int:
-      case TypeKind::Flags:
-        emit(SlotRole::Value, true);
-        break;
-      case TypeKind::Const:
-      case TypeKind::Len:
-        // Fixed or auto-computed: visible to the kernel, not mutable.
-        emit(SlotRole::Value, false);
-        break;
-      case TypeKind::Resource:
-        emit(SlotRole::Value, true);
-        break;
-      case TypeKind::Ptr:
-        emit(SlotRole::PtrNull, type->opt);
-        path.push_back(0);
-        enumerateType(type->elem, path, next, out);
-        path.pop_back();
-        break;
-      case TypeKind::Struct:
-        for (size_t i = 0; i < type->fields.size(); ++i) {
-            path.push_back(static_cast<uint16_t>(i));
-            enumerateType(type->fields[i], path, next, out);
-            path.pop_back();
+    const Arg *node = call.args[slot.path[0]].get();
+    for (size_t i = 1; i < slot.path.size(); ++i) {
+        if (node->type->kind == TypeKind::Ptr) {
+            if (node->is_null)
+                return false;
+            node = node->pointee.get();
+        } else {
+            node = node->fields[slot.path[i]].get();
         }
-        break;
-      case TypeKind::Buffer:
-        emit(SlotRole::BufLen, true);
-        emit(SlotRole::BufClass, true);
-        break;
     }
+    return true;
 }
 
 void
@@ -92,21 +66,6 @@ flattenArg(const Arg &arg, const ResourceResolver &resolve,
 
 }  // namespace
 
-std::vector<SlotDesc>
-enumerateSlots(const SyscallDecl &decl)
-{
-    std::vector<SlotDesc> out;
-    std::vector<uint16_t> path;
-    uint32_t next = 0;
-    for (size_t i = 0; i < decl.args.size(); ++i) {
-        path.push_back(static_cast<uint16_t>(i));
-        enumerateType(decl.args[i], path, next, out);
-        path.pop_back();
-    }
-    SP_ASSERT(next == slotCount(decl), "slot enumeration arity mismatch");
-    return out;
-}
-
 std::vector<uint64_t>
 flattenCall(const Call &call, const ResourceResolver &resolve)
 {
@@ -119,10 +78,7 @@ void
 flattenCallInto(const Call &call, const ResourceResolver &resolve,
                 std::vector<uint64_t> &out)
 {
-    // One arity walk per call, serving both the reserve and the
-    // arity check — slotCount recurses over the decl's type tree,
-    // which is measurable on the exec hot path.
-    const uint32_t arity = slotCount(*call.decl);
+    const size_t arity = call.decl->slots().size();
     out.clear();
     out.reserve(arity);
     for (const auto &arg : call.args)
@@ -142,32 +98,13 @@ std::vector<MutationPoint>
 mutationPoints(const Call &call)
 {
     std::vector<MutationPoint> points;
-    const auto slots = enumerateSlots(*call.decl);
-    for (const auto &slot : slots) {
+    for (const auto &slot : call.decl->slots()) {
         if (!slot.is_mutable)
             continue;
         // A buffer contributes two slots; collapse onto one point.
         if (!points.empty() && points.back().path == slot.path)
             continue;
-        // Skip slots whose owning node is inside a currently-null
-        // pointer: mutating them has no observable effect until the
-        // pointer is made non-null (the PtrNull point itself remains).
-        bool reachable = true;
-        {
-            const Arg *node = call.args[slot.path[0]].get();
-            for (size_t i = 1; i < slot.path.size() && reachable; ++i) {
-                if (node->type->kind == TypeKind::Ptr) {
-                    if (node->is_null) {
-                        reachable = false;
-                        break;
-                    }
-                    node = node->pointee.get();
-                } else {
-                    node = node->fields[slot.path[i]].get();
-                }
-            }
-        }
-        if (!reachable)
+        if (!reachable(call, slot))
             continue;
         MutationPoint point;
         point.path = slot.path;
@@ -176,6 +113,15 @@ mutationPoints(const Call &call)
         points.push_back(std::move(point));
     }
     return points;
+}
+
+bool
+hasMutationPoint(const Call &call)
+{
+    for (const auto &slot : call.decl->slots())
+        if (slot.is_mutable && reachable(call, slot))
+            return true;
+    return false;
 }
 
 size_t

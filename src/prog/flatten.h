@@ -8,7 +8,9 @@
  * zeroed slots for their pointee subtree), so slot indices are stable
  * across all values of a call — this is what lets kernel predicates,
  * training labels, and graph argument nodes all refer to "argument k of
- * syscall s" coherently.
+ * syscall s" coherently. That static layout (SlotDesc, enumerateSlots)
+ * lives in types.h; each decl keeps its own copy, read through
+ * SyscallDecl::slots() by this file's call-level functions.
  *
  * Slot discipline per type kind:
  *  - Int/Flags/Const/Len/Resource: one slot carrying the value
@@ -30,32 +32,11 @@
 
 namespace sp::prog {
 
-/** What a flattened slot represents. */
-enum class SlotRole : uint8_t {
-    Value,     ///< scalar value of an Int/Flags/Const/Len/Resource leaf
-    PtrNull,   ///< pointer nullness (1 = non-null)
-    BufLen,    ///< buffer length
-    BufClass,  ///< buffer content class (hash bucket)
-};
-
-/** Static description of one slot of a decl. */
-struct SlotDesc
-{
-    uint32_t index = 0;            ///< slot position within the call
-    TypeRef type;                  ///< owning leaf type
-    SlotRole role = SlotRole::Value;
-    std::vector<uint16_t> path;    ///< Arg path of the owning node
-    bool is_mutable = false;       ///< a mutation can change this slot
-};
-
 /** Number of distinct buffer content classes (BufClass slot range). */
 constexpr uint64_t kBufferClassCount = 64;
 
 /** Value used for invalid / unresolved resource handles. */
 constexpr uint64_t kBadHandle = ~0ULL;
-
-/** Static slot layout of a syscall declaration (cacheable per decl). */
-std::vector<SlotDesc> enumerateSlots(const SyscallDecl &decl);
 
 /** Maps a resource argument's result_ref to its runtime id. */
 using ResourceResolver = std::function<uint64_t(int32_t result_ref)>;
@@ -92,6 +73,9 @@ struct MutationPoint
 
 /** All mutation points of a call, in flattening order. */
 std::vector<MutationPoint> mutationPoints(const Call &call);
+
+/** Same as `!mutationPoints(call).empty()`, without building them. */
+bool hasMutationPoint(const Call &call);
 
 /**
  * Total number of mutation points across all calls of a program

@@ -39,6 +39,53 @@ collectConsumedKinds(const Type &type, std::vector<std::string> &out)
     }
 }
 
+void
+enumerateType(const TypeRef &type, std::vector<uint16_t> &path,
+              uint32_t &next, std::vector<SlotDesc> &out)
+{
+    auto emit = [&](SlotRole role, bool is_mutable) {
+        SlotDesc desc;
+        desc.index = next++;
+        desc.type = type;
+        desc.role = role;
+        desc.path = path;
+        desc.is_mutable = is_mutable;
+        out.push_back(std::move(desc));
+    };
+
+    switch (type->kind) {
+      case TypeKind::Int:
+      case TypeKind::Flags:
+        emit(SlotRole::Value, true);
+        break;
+      case TypeKind::Const:
+      case TypeKind::Len:
+        // Fixed or auto-computed: visible to the kernel, not mutable.
+        emit(SlotRole::Value, false);
+        break;
+      case TypeKind::Resource:
+        emit(SlotRole::Value, true);
+        break;
+      case TypeKind::Ptr:
+        emit(SlotRole::PtrNull, type->opt);
+        path.push_back(0);
+        enumerateType(type->elem, path, next, out);
+        path.pop_back();
+        break;
+      case TypeKind::Struct:
+        for (size_t i = 0; i < type->fields.size(); ++i) {
+            path.push_back(static_cast<uint16_t>(i));
+            enumerateType(type->fields[i], path, next, out);
+            path.pop_back();
+        }
+        break;
+      case TypeKind::Buffer:
+        emit(SlotRole::BufLen, true);
+        emit(SlotRole::BufClass, true);
+        break;
+    }
+}
+
 }  // namespace
 
 TypeRef
@@ -119,13 +166,28 @@ bufferType(std::string name, uint32_t min_len, uint32_t max_len)
     return t;
 }
 
-std::vector<std::string>
+void
+SyscallDecl::finalize()
+{
+    slots_ = enumerateSlots(*this);
+    consumed_kinds_.clear();
+    for (const auto &arg : args)
+        collectConsumedKinds(*arg, consumed_kinds_);
+    finalized_ = true;
+}
+
+const std::vector<SlotDesc> &
+SyscallDecl::slots() const
+{
+    SP_ASSERT(finalized_, "decl %s was never finalized", name.c_str());
+    return slots_;
+}
+
+const std::vector<std::string> &
 SyscallDecl::consumedResourceKinds() const
 {
-    std::vector<std::string> kinds;
-    for (const auto &arg : args)
-        collectConsumedKinds(*arg, kinds);
-    return kinds;
+    SP_ASSERT(finalized_, "decl %s was never finalized", name.c_str());
+    return consumed_kinds_;
 }
 
 const SyscallDecl *
@@ -192,6 +254,21 @@ slotCount(const SyscallDecl &decl)
     for (const auto &arg : decl.args)
         total += slotCount(*arg);
     return total;
+}
+
+std::vector<SlotDesc>
+enumerateSlots(const SyscallDecl &decl)
+{
+    std::vector<SlotDesc> out;
+    std::vector<uint16_t> path;
+    uint32_t next = 0;
+    for (size_t i = 0; i < decl.args.size(); ++i) {
+        path.push_back(static_cast<uint16_t>(i));
+        enumerateType(decl.args[i], path, next, out);
+        path.pop_back();
+    }
+    SP_ASSERT(next == slotCount(decl), "slot enumeration arity mismatch");
+    return out;
 }
 
 }  // namespace sp::prog

@@ -99,6 +99,26 @@ TypeRef structType(std::string name, std::vector<TypeRef> fields);
 TypeRef bufferType(std::string name, uint32_t min_len, uint32_t max_len);
 /** @} */
 
+/** What a flattened slot represents. */
+enum class SlotRole : uint8_t {
+    Value,     ///< scalar value of an Int/Flags/Const/Len/Resource leaf
+    PtrNull,   ///< pointer nullness (1 = non-null)
+    BufLen,    ///< buffer length
+    BufClass,  ///< buffer content class (hash bucket)
+};
+
+/** Static description of one slot of a decl (see flatten.h). */
+struct SlotDesc
+{
+    uint32_t index = 0;            ///< slot position within the call
+    TypeRef type;                  ///< owning leaf type
+    SlotRole role = SlotRole::Value;
+    std::vector<uint16_t> path;    ///< Arg path of the owning node
+    bool is_mutable = false;       ///< a mutation can change this slot
+
+    bool operator==(const SlotDesc &) const = default;
+};
+
 /** Declaration of one system-call variant. */
 struct SyscallDecl
 {
@@ -107,8 +127,25 @@ struct SyscallDecl
     std::vector<TypeRef> args;   ///< top-level argument types
     std::string ret_resource;    ///< produced resource kind ("" if none)
 
-    /** Resource kinds any argument subtree consumes. */
-    std::vector<std::string> consumedResourceKinds() const;
+    /**
+     * Derive the decl's static layout from `args`: its slot layout and
+     * the resource kinds it consumes. Whoever builds a table calls this
+     * after the decl's last edit (KernelBuilder::beginHandler does).
+     * The layout lives in the decl rather than in a cache keyed by its
+     * address, so it travels with copies.
+     */
+    void finalize();
+
+    /** The slot layout, enumerateSlots(*this) as of finalize(). */
+    const std::vector<SlotDesc> &slots() const;
+
+    /** Resource kinds any argument subtree consumes, as of finalize(). */
+    const std::vector<std::string> &consumedResourceKinds() const;
+
+  private:
+    std::vector<SlotDesc> slots_;
+    std::vector<std::string> consumed_kinds_;
+    bool finalized_ = false;
 };
 
 /** A complete user-space API surface (the fuzzer's "syscall table"). */
@@ -134,6 +171,13 @@ uint32_t slotCount(const Type &type);
 
 /** Total flattened slot count across a decl's arguments. */
 uint32_t slotCount(const SyscallDecl &decl);
+
+/**
+ * Static slot layout of a syscall declaration, in flattening order.
+ * Walks the type tree on every call; SyscallDecl::slots() returns the
+ * copy finalize() kept.
+ */
+std::vector<SlotDesc> enumerateSlots(const SyscallDecl &decl);
 
 }  // namespace sp::prog
 

@@ -1,8 +1,8 @@
 // Tests for the staged campaign runtime: the virtual-time budget
 // ledger, per-worker RNG stream splitting, the sharded corpus under
 // concurrency, and the campaign engine itself (1-worker determinism,
-// the multi-worker checkpoint grid, lane accounting, the scheduler
-// seam).
+// the multi-worker checkpoint grid, lane accounting, the mutation
+// observer's contract, the scheduler seam).
 
 #include <gtest/gtest.h>
 
@@ -285,6 +285,63 @@ TEST(CampaignEngine, LaneCountsAreConsistent)
     EXPECT_GT(report.lane(MutationLane::Argument).produced, 0u);
     EXPECT_GT(report.lane(MutationLane::Structural).produced, 0u);
 }
+
+/** Same decl and argument values (Prog::equals for one call). */
+bool
+sameCall(const prog::Call &a, const prog::Call &b)
+{
+    if (a.decl != b.decl || a.args.size() != b.args.size())
+        return false;
+    for (size_t i = 0; i < a.args.size(); ++i)
+        if (!a.args[i]->equals(*b.args[i]))
+            return false;
+    return true;
+}
+
+class MutationObserverContract : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(MutationObserverContract, MutantDiffersFromBaseOnlyAtTheSiteCall)
+{
+    // The argument lane mutates one scratch copy of the base in place
+    // and restores the site's call after each mutant, so every event
+    // must see a mutant that is the base except at site->call_index.
+    const auto &kernel = testKernel();
+    CampaignOptions campaign_opts;
+    campaign_opts.workers = GetParam();
+    campaign_opts.fuzz = smallCampaign(17);
+    std::atomic<uint64_t> events{0};
+    std::atomic<uint64_t> changed{0};
+    std::atomic<uint64_t> violations{0};
+    campaign_opts.on_mutation = [&](const MutationEvent &event) {
+        events.fetch_add(1);
+        const prog::Prog &base = *event.base;
+        const prog::Prog &mutant = *event.mutant;
+        if (mutant.calls.size() != base.calls.size()) {
+            violations.fetch_add(1);
+            return;
+        }
+        for (size_t i = 0; i < base.calls.size(); ++i) {
+            const bool same = sameCall(mutant.calls[i], base.calls[i]);
+            if (i == event.site->call_index)
+                changed.fetch_add(same ? 0 : 1);
+            else if (!same)
+                violations.fetch_add(1);
+        }
+    };
+
+    auto engine = core::makeSyzkallerCampaign(kernel, campaign_opts);
+    const auto report = engine->run();
+    EXPECT_EQ(events.load(),
+              report.lane(MutationLane::Argument).produced);
+    EXPECT_GT(events.load(), 100u);
+    EXPECT_GT(changed.load(), 0u);
+    EXPECT_EQ(violations.load(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, MutationObserverContract,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 /** Uniform pick that counts its calls. */
 class CountingScheduler : public Scheduler

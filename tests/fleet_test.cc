@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -269,6 +270,51 @@ TEST(FleetNet, ListenersReportBoundEphemeralPort)
     opts.serve_status = false;
     Coordinator coordinator(kernel, opts);
     EXPECT_NE(coordinator.port(), 0u);
+}
+
+TEST(FleetNet, LoopbackRoundTripsDoNotStallOnDelayedAcks)
+{
+    // A node's lease loop is request/grant round trips over loopback
+    // TCP without TCP_NODELAY. A frame written as two sends (header,
+    // then payload) lets Nagle hold the payload until the peer's
+    // delayed ACK of the header, about 40 ms a frame on Linux; one
+    // write per frame costs microseconds. 100 round trips therefore
+    // take seconds with the split write and milliseconds without it.
+    constexpr int kRoundTrips = 100;
+    obs::TcpListener listener(0);
+    LeaseGrantMsg grant;
+    grant.lease_id = 7;
+    grant.count = 512;
+    grant.batch = {"r0 = open(\"/tmp/x\", 1)\n"};
+    const std::vector<uint8_t> grant_payload = grant.encode();
+
+    std::thread server([&] {
+        const int fd = listener.acceptConnection();
+        ASSERT_GE(fd, 0);
+        Frame frame;
+        for (int i = 0; i < kRoundTrips; ++i) {
+            if (recvFrame(fd, &frame) != RecvStatus::Ok ||
+                !sendFrame(fd, MsgType::LeaseGrant, grant_payload)) {
+                ADD_FAILURE() << "server round trip " << i << " failed";
+                break;
+            }
+        }
+        ::close(fd);
+    });
+
+    const int fd = obs::connectTcp("127.0.0.1", listener.port());
+    ASSERT_GE(fd, 0);
+    const auto start = std::chrono::steady_clock::now();
+    Frame frame;
+    for (int i = 0; i < kRoundTrips; ++i) {
+        ASSERT_TRUE(sendFrame(fd, MsgType::LeaseRequest, {}));
+        ASSERT_EQ(recvFrame(fd, &frame), RecvStatus::Ok);
+        ASSERT_EQ(frame.payload, grant_payload);
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ::close(fd);
+    server.join();
+    EXPECT_LT(elapsed, std::chrono::milliseconds(500));
 }
 
 TEST(FleetNet, CoordinatorSurvivesHostilePeers)

@@ -1,7 +1,8 @@
 // Tests for the simulated kernel: predicate evaluation, state/resource
 // semantics, builder invariants, handler execution, the hand-written
-// subsystems (including the deep SCSI/ATA bug path), and the synthetic
-// generator's determinism and version-evolution guarantees.
+// subsystems (including the deep SCSI/ATA bug path), the synthetic
+// generator's determinism and version-evolution guarantees, and the
+// per-decl slot layouts the builder stores.
 
 #include <gtest/gtest.h>
 
@@ -429,6 +430,33 @@ TEST(KernelGen, EvolutionPreservesBaseStructure)
                   prog::slotCount(v610.table().decls[i]));
     }
     EXPECT_EQ(v610.version(), "6.10");
+}
+
+TEST(KernelBuilder, EveryDeclCarriesItsOwnSlotLayout)
+{
+    // Each decl's layout is computed once when its kernel is built and
+    // stored in the decl. Kernels built and dropped in one process reuse
+    // addresses, so a layout keyed by decl address would go stale;
+    // check two live, differently seeded kernels and a rebuilt one.
+    auto expectFreshLayouts = [](const Kernel &kernel) {
+        for (const auto &decl : kernel.table().decls) {
+            EXPECT_EQ(decl.slots(), prog::enumerateSlots(decl))
+                << decl.name;
+            EXPECT_EQ(decl.slots().size(), prog::slotCount(decl))
+                << decl.name;
+        }
+    };
+    KernelGenParams params;
+    params.seed = 11;
+    const Kernel first = buildBaseKernel(params);
+    params.seed = 12;
+    const Kernel second = buildBaseKernel(params);
+    expectFreshLayouts(first);
+    expectFreshLayouts(second);
+    for (uint64_t seed : {13u, 14u}) {
+        params.seed = seed;
+        expectFreshLayouts(buildBaseKernel(params));
+    }
 }
 
 TEST(KernelGen, BugsArePlantedDeep)

@@ -43,6 +43,42 @@ TEST(Localizer, AllArgLocationsCoversEveryCall)
         EXPECT_LT(loc.call_index, prog.calls.size());
 }
 
+TEST(Localizer, HasArgLocationMatchesAllArgLocations)
+{
+    Rng rng(41);
+    for (const auto &program :
+         prog::generateCorpus(rng, testTable(), 64)) {
+        EXPECT_EQ(hasArgLocation(program),
+                  !allArgLocations(program).empty());
+    }
+
+    // A call whose only mutable slot sits under a null, non-optional
+    // pointer has no location until the pointer is filled in.
+    prog::SyscallDecl decl;
+    decl.name = "fixed$t";
+    decl.args.push_back(prog::constType("magic", 7));
+    decl.args.push_back(prog::ptrType(
+        "req", prog::intType("v", 32, 0, 9), false, /*opt=*/false));
+    decl.finalize();
+    prog::Prog program;
+    prog::Call call;
+    call.decl = &decl;
+    call.args = prog::defaultArgs(decl);
+    call.args[1]->is_null = true;
+    call.args[1]->pointee.reset();
+    program.calls.push_back(std::move(call));
+    EXPECT_FALSE(hasArgLocation(program));
+    EXPECT_TRUE(allArgLocations(program).empty());
+
+    program.calls[0].args[1]->is_null = false;
+    program.calls[0].args[1]->pointee =
+        prog::defaultArg(decl.args[1]->elem);
+    EXPECT_TRUE(hasArgLocation(program));
+    EXPECT_EQ(allArgLocations(program).size(), 1u);
+
+    EXPECT_FALSE(hasArgLocation(prog::Prog{}));
+}
+
 TEST(Localizer, RandomLocalizerRespectsCap)
 {
     auto prog = sampleProg(2);
@@ -158,6 +194,40 @@ TEST(Mutator, StaleLocationIsRejected)
     ArgLocation bogus;
     bogus.call_index = base.calls.size() + 5;
     EXPECT_FALSE(mutator.instantiateArgMutation(base, bogus, rng));
+}
+
+TEST(Mutator, RestoringTheSiteCallUndoesAnInstantiation)
+{
+    // The campaign's argument lane mutates a scratch copy of the base
+    // in place and undoes each mutant by moving back a saved copy of
+    // the site's call. That is exact only if instantiation writes
+    // nothing outside that call.
+    Mutator mutator(testTable());
+    Rng rng(43);
+    size_t instantiated = 0;
+    for (const auto &base : prog::generateCorpus(rng, testTable(), 64)) {
+        prog::Prog scratch;
+        scratch.calls = base.calls;
+        for (const auto &loc : allArgLocations(base)) {
+            prog::Call saved = scratch.calls[loc.call_index];
+            if (mutator.instantiateArgMutation(scratch, loc, rng))
+                ++instantiated;
+            ASSERT_EQ(scratch.calls.size(), base.calls.size());
+            for (size_t i = 0; i < base.calls.size(); ++i) {
+                if (i == loc.call_index)
+                    continue;
+                prog::Prog got, want;
+                got.calls.push_back(scratch.calls[i]);
+                want.calls.push_back(base.calls[i]);
+                EXPECT_TRUE(got.equals(want))
+                    << "call " << i << " changed by a mutation of call "
+                    << loc.call_index;
+            }
+            scratch.calls[loc.call_index] = std::move(saved);
+            ASSERT_TRUE(scratch.equals(base));
+        }
+    }
+    EXPECT_GT(instantiated, 1000u);
 }
 
 TEST(Mutator, PtrMutationTogglesAndRegenerates)

@@ -31,6 +31,7 @@ makeTable()
     open_decl.args.push_back(
         flagsType("flags", {0x1, 0x2, 0x40}, true));
     open_decl.ret_resource = "fd";
+    open_decl.finalize();
     table.decls.push_back(std::move(open_decl));
 
     SyscallDecl read_decl;
@@ -44,12 +45,14 @@ makeTable()
                     bufferType("data", 0, 16),
                     lenType("data_len", 1),
                     constType("magic", 0xab)})));
+    read_decl.finalize();
     table.decls.push_back(std::move(read_decl));
 
     SyscallDecl plain;
     plain.name = "plain$t";
     plain.id = 2;
     plain.args.push_back(intType("v", 32, 0, 100));
+    plain.finalize();
     table.decls.push_back(std::move(plain));
 
     return table;
