@@ -65,8 +65,6 @@ BM_CovmapOverhead(benchmark::State &state)
         opts.fuzz = spbench::evalFuzzOptions(kCampaignBudget, /*seed=*/9);
         opts.fuzz.covmap = covmap.get();
         auto report = core::makeSyzkallerCampaign(kernel, opts)->run();
-        if (covmap != nullptr)
-            covmap->finalize(report.execs);
         benchmark::DoNotOptimize(report.final_edges);
     }
     state.SetItemsProcessed(
@@ -141,10 +139,11 @@ BM_CovmapMerge(benchmark::State &state)
             covmap->shard(i % 4).recordTrace(call.blocks);
     }
 
+    obs::Registry metrics(obs::Registry::global());  // as a campaign has
     uint64_t execs = 0;
     for (auto _ : state) {
         execs += 250;
-        covmap->onCheckpoint(execs);
+        covmap->onCheckpoint(execs, metrics);
         benchmark::DoNotOptimize(covmap->summary().blocks_hit);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

@@ -29,9 +29,9 @@ struct TargetOutcome
 {
     uint32_t block = 0;
     std::string location;
-    int baseline_successes = 0;
+    int syzdirect_successes = 0;
     int learned_successes = 0;
-    double baseline_mean = 0.0;  ///< over successful runs
+    double syzdirect_mean = 0.0;  ///< over successful runs
     double learned_mean = 0.0;
 };
 
@@ -82,7 +82,7 @@ main()
 
             auto baseline = core::runSyzDirect(kernel, opts);
             if (baseline.reached) {
-                ++outcome.baseline_successes;
+                ++outcome.syzdirect_successes;
                 base_total +=
                     static_cast<double>(baseline.execs_to_reach);
             }
@@ -93,15 +93,15 @@ main()
                     static_cast<double>(learned.execs_to_reach);
             }
         }
-        if (outcome.baseline_successes > 0)
-            outcome.baseline_mean =
-                base_total / outcome.baseline_successes;
+        if (outcome.syzdirect_successes > 0)
+            outcome.syzdirect_mean =
+                base_total / outcome.syzdirect_successes;
         if (outcome.learned_successes > 0)
             outcome.learned_mean =
                 learned_total / outcome.learned_successes;
         outcomes.push_back(outcome);
         std::fprintf(stderr, "[table5] block %u: base %d/%d, learned "
-                     "%d/%d\n", block, outcome.baseline_successes,
+                     "%d/%d\n", block, outcome.syzdirect_successes,
                      kRepeats, outcome.learned_successes, kRepeats);
     }
 
@@ -109,12 +109,12 @@ main()
     std::stable_sort(outcomes.begin(), outcomes.end(),
                      [](const TargetOutcome &a, const TargetOutcome &b) {
                          auto key = [](const TargetOutcome &o) {
-                             if (o.baseline_successes == 0 &&
+                             if (o.syzdirect_successes == 0 &&
                                  o.learned_successes > 0)
                                  return 1e18;  // INF speedup first
                              if (o.learned_successes == 0)
                                  return -1.0;  // NA rows last
-                             return o.baseline_mean /
+                             return o.syzdirect_mean /
                                     std::max(o.learned_mean, 1.0);
                          };
                          return key(a) > key(b);
@@ -134,22 +134,22 @@ main()
             return std::string(buf);
         };
         std::string speedup = "NA";
-        if (outcome.baseline_successes > 0 &&
+        if (outcome.syzdirect_successes > 0 &&
             outcome.learned_successes > 0) {
             char buf[16];
             std::snprintf(buf, sizeof(buf), "%.1f",
-                          outcome.baseline_mean /
+                          outcome.syzdirect_mean /
                               std::max(outcome.learned_mean, 1.0));
             speedup = buf;
-            subtotal_base += outcome.baseline_mean;
+            subtotal_base += outcome.syzdirect_mean;
             subtotal_learned += outcome.learned_mean;
             ++both_reached;
         } else if (outcome.learned_successes > 0) {
             speedup = "INF";
         }
         rows.push_back({outcome.location,
-                        cell(outcome.baseline_successes,
-                             outcome.baseline_mean),
+                        cell(outcome.syzdirect_successes,
+                             outcome.syzdirect_mean),
                         cell(outcome.learned_successes,
                              outcome.learned_mean),
                         speedup});
@@ -173,7 +173,7 @@ main()
 
     int base_reached = 0, learned_reached = 0;
     for (const auto &outcome : outcomes) {
-        base_reached += (outcome.baseline_successes > 0);
+        base_reached += (outcome.syzdirect_successes > 0);
         learned_reached += (outcome.learned_successes > 0);
     }
     std::printf("targets reached: SyzDirect %d/%zu, Snowplow-D %d/%zu "

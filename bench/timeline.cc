@@ -81,12 +81,6 @@ BM_TimelineOverhead(benchmark::State &state)
         opts.fuzz = spbench::evalFuzzOptions(kCampaignBudget, /*seed=*/9);
         opts.fuzz.timeline = recorder.get();
         auto report = core::makeSyzkallerCampaign(kernel, opts)->run();
-        if (recorder != nullptr) {
-            obs::TimelineTick tick;
-            tick.execs = report.execs;
-            tick.edges = report.final_edges;
-            recorder->finalize(tick);
-        }
         benchmark::DoNotOptimize(report.final_edges);
     }
     state.SetItemsProcessed(
@@ -103,10 +97,13 @@ BM_TimelineSample(benchmark::State &state)
 {
     obs::TimelineRecorder recorder;
     recorder.openLog(kScratchLog);
+    // The process registry: after BM_TimelineOverhead it holds every
+    // campaign metric, a superset of what one campaign's registry has.
+    obs::Registry &metrics = obs::Registry::global();
     uint64_t execs = 0;
     for (auto _ : state) {
         execs += 625;
-        recorder.onCheckpoint(sampleTick(execs));
+        recorder.onCheckpoint(sampleTick(execs), metrics);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
     std::remove(kScratchLog);
@@ -122,7 +119,7 @@ BM_TimelineDisabledSite(benchmark::State &state)
     const obs::TimelineTick tick = sampleTick(625);
     for (auto _ : state) {
         if (recorder != nullptr)
-            recorder->onCheckpoint(tick);
+            recorder->onCheckpoint(tick, obs::Registry::global());
         benchmark::DoNotOptimize(recorder);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

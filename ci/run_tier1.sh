@@ -31,6 +31,8 @@
 #      section of metrics.required.txt
 #  11  AddressSanitizer + UndefinedBehaviorSanitizer pass over the full
 #      ctest
+#  12  compile check: the campaign benchmark (perfbench/, which also
+#      links bench/common.cc) still builds against this tree
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -950,4 +952,12 @@ cmake --build build-asan -j"$(nproc)"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
-echo "tier-1 + telemetry + perf + introspection + cartography + policy + timeline + fleet + sanitizer smoke: OK"
+# Stage 12: compile-only check of the campaign benchmark. perfbench/
+# is its own CMake package over src/ and bench/common.cc and pins
+# engine seams (Scheduler, makeScheduler, the Localizer virtuals) and
+# metric names; nothing else in this script builds it, so a refactor
+# that breaks it would otherwise only surface when the benchmark runs.
+cmake -B build-perfbench -S perfbench
+cmake --build build-perfbench -j"$(nproc)" --target campaign_bench
+
+echo "tier-1 + telemetry + perf + introspection + cartography + policy + timeline + fleet + sanitizer + perfbench-build smoke: OK"

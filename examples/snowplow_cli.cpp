@@ -429,9 +429,9 @@ cmdFuzz(const Args &args)
     } else {
         engine = core::makeSyzkallerCampaign(kernel, campaign_opts);
     }
+    // The run finalizes the covmap and then the timeline artifact.
     auto report = engine->run();
     if (covmap != nullptr) {
-        covmap->finalize(report.execs);
         // The covmap dies with this frame but /coverage may be scraped
         // through --status-hold: freeze the final summary into the
         // provider (mirrors the campaign's status ProviderGuard).
@@ -446,17 +446,6 @@ cmdFuzz(const Args &args)
                     args.get("covmap-out", "").c_str());
     }
     if (timeline != nullptr) {
-        // The artifact's final record: the end-of-run tick (after
-        // CovMap::finalize so stray-edge accounting is settled) plus
-        // the one full-percentile registry pass.
-        fuzz::Checkpoint final_cp;
-        final_cp.execs = report.execs;
-        final_cp.edges = report.final_edges;
-        final_cp.blocks = report.final_blocks;
-        final_cp.crashes = report.final_crashes;
-        timeline->finalize(fuzz::makeTimelineTick(
-            final_cp, report.corpus_size, covmap.get(),
-            engine->policy()));
         // Freeze /timeline for --status-hold scrapes (the recorder
         // outlives the campaign but dies with this frame).
         obs::setTimelineProvider(

@@ -13,7 +13,9 @@ namespace sp::core {
 
 namespace {
 
-/** Registry handles for the localizer cache (looked up once). */
+/** Registry handles for the localizer cache (looked up once). The
+ *  family is process-scoped: it lives in the global registry and is
+ *  never reset, so the hit ratio covers every campaign in the process. */
 struct LocalizerMetrics
 {
     obs::Counter &cache_hits;
@@ -21,10 +23,6 @@ struct LocalizerMetrics
     obs::Counter &async_submitted;
     obs::Counter &async_ready;
     obs::Counter &async_pending;
-    /** Cached like the counters: CampaignEngine scopes this gauge per
-     *  campaign with resetGaugesWithPrefix (value to 0, name stays
-     *  registered), so the handle never dangles and lookups stay off
-     *  the registry mutex. */
     obs::Gauge &cache_hit_ratio;
 
     static LocalizerMetrics &

@@ -115,8 +115,11 @@ class ReferenceBackend final : public ExecBackend
 class FastBackend final : public ExecBackend
 {
   public:
-    explicit FastBackend(const kern::Kernel &kernel)
-        : ExecBackend(kernel), state_(kernel.initialState())
+    FastBackend(const kern::Kernel &kernel, obs::Registry &metrics)
+        : ExecBackend(kernel),
+          restore_us_(metrics.histogram("exec.restore_us")),
+          dirty_entries_(metrics.histogram("exec.dirty_entries")),
+          state_(kernel.initialState())
     {
         const auto &blocks = kernel.blocks();
         succ_.resize(blocks.size());
@@ -205,19 +208,17 @@ class FastBackend final : public ExecBackend
             state_.rollback();
             return;
         }
-        static obs::Histogram &restore_hist =
-            obs::Registry::global().histogram("exec.restore_us");
-        static obs::Histogram &dirty_hist =
-            obs::Registry::global().histogram("exec.dirty_entries");
-        dirty_hist.record(static_cast<double>(state_.dirtyCount()));
+        dirty_entries_.record(static_cast<double>(state_.dirtyCount()));
         const auto start = std::chrono::steady_clock::now();
         state_.rollback();
         const auto end = std::chrono::steady_clock::now();
-        restore_hist.record(
+        restore_us_.record(
             std::chrono::duration<double, std::micro>(end - start)
                 .count());
     }
 
+    obs::Histogram &restore_us_;
+    obs::Histogram &dirty_entries_;
     kern::KernelState state_;  ///< journaled pristine snapshot
     std::vector<DenseCoverage::Successors> succ_;
     DenseCoverage coverage_;
@@ -226,13 +227,14 @@ class FastBackend final : public ExecBackend
 }  // namespace
 
 std::unique_ptr<ExecBackend>
-makeExecBackend(const kern::Kernel &kernel, BackendKind kind)
+makeExecBackend(const kern::Kernel &kernel, BackendKind kind,
+                obs::Registry &metrics)
 {
     switch (kind) {
       case BackendKind::Reference:
         return std::make_unique<ReferenceBackend>(kernel);
       case BackendKind::Fast:
-        return std::make_unique<FastBackend>(kernel);
+        return std::make_unique<FastBackend>(kernel, metrics);
     }
     SP_PANIC("unreachable backend kind");
 }

@@ -34,6 +34,10 @@
 #include "prog/value.h"
 #include "util/rng.h"
 
+namespace sp::obs {
+class Registry;
+}
+
 namespace sp::exec {
 
 /** Which execution backend runs the program. */
@@ -103,9 +107,11 @@ class ExecBackend
     const kern::Kernel &kernel_;
 };
 
-/** Build a backend of `kind` over `kernel`. */
+/** Build a backend of `kind` over `kernel`; its restore telemetry
+ *  (`exec.restore_us`, `exec.dirty_entries`) goes to `metrics`. */
 std::unique_ptr<ExecBackend> makeExecBackend(const kern::Kernel &kernel,
-                                             BackendKind kind);
+                                             BackendKind kind,
+                                             obs::Registry &metrics);
 
 }  // namespace sp::exec
 

@@ -6,16 +6,20 @@
 
 namespace sp::exec {
 
-Executor::Executor(const kern::Kernel &kernel, const ExecOptions &opts)
+Executor::Executor(const kern::Kernel &kernel, const ExecOptions &opts,
+                   obs::Registry &metrics)
     : kernel_(kernel), opts_(opts), noise_(opts.noise_seed),
-      backend_(makeExecBackend(kernel, opts.backend))
+      run_us_(metrics.histogram("exec.run_us")),
+      coverage_blocks_(metrics.histogram("exec.coverage_blocks")),
+      coverage_edges_(metrics.histogram("exec.coverage_edges")),
+      backend_(makeExecBackend(kernel, opts.backend, metrics))
 {
 }
 
 ExecResult
 Executor::run(const prog::Prog &prog)
 {
-    SP_TIMED("exec.run_us");
+    obs::ScopedTimer timer(run_us_);
     // Execute-stage span lives here, not in the campaign loop, so
     // localizer probe runs are traced too (arg = program length).
     obs::TraceSpan trace_span(obs::SpanKind::Execute,
@@ -26,27 +30,25 @@ Executor::run(const prog::Prog &prog)
     calls_executed_ += result.calls.size();
 
     if (obs::timingEnabled()) {
-        static obs::Histogram &blocks_hist =
-            obs::Registry::global().histogram("exec.coverage_blocks");
-        static obs::Histogram &edges_hist =
-            obs::Registry::global().histogram("exec.coverage_edges");
-        blocks_hist.record(
+        coverage_blocks_.record(
             static_cast<double>(result.coverage.blockCount()));
-        edges_hist.record(
+        coverage_edges_.record(
             static_cast<double>(result.coverage.edgeCount()));
     }
     return result;
 }
 
 ExecutorPool::ExecutorPool(const kern::Kernel &kernel,
-                           const ExecOptions &base, size_t count)
+                           const ExecOptions &base, size_t count,
+                           obs::Registry &metrics)
 {
     SP_ASSERT(count > 0, "executor pool needs at least one worker");
     executors_.reserve(count);
     for (size_t w = 0; w < count; ++w) {
         ExecOptions opts = base;
         opts.noise_seed = splitSeed(base.noise_seed, w);
-        executors_.push_back(std::make_unique<Executor>(kernel, opts));
+        executors_.push_back(
+            std::make_unique<Executor>(kernel, opts, metrics));
     }
 }
 

@@ -26,6 +26,7 @@
 #include "exec/backend.h"
 #include "exec/coverage.h"
 #include "kernel/kernel.h"
+#include "obs/metrics.h"
 #include "prog/value.h"
 #include "util/rng.h"
 
@@ -46,7 +47,10 @@ struct ExecOptions
 class Executor
 {
   public:
-    Executor(const kern::Kernel &kernel, const ExecOptions &opts = {});
+    /** `metrics` receives the `exec.*` telemetry (campaign executors
+     *  get the campaign's registry through ExecutorPool). */
+    Executor(const kern::Kernel &kernel, const ExecOptions &opts = {},
+             obs::Registry &metrics = obs::Registry::global());
 
     /** Execute `prog` from a fresh kernel state. */
     ExecResult run(const prog::Prog &prog);
@@ -67,6 +71,9 @@ class Executor
     const kern::Kernel &kernel_;
     ExecOptions opts_;
     Rng noise_;
+    obs::Histogram &run_us_;
+    obs::Histogram &coverage_blocks_;
+    obs::Histogram &coverage_edges_;
     std::unique_ptr<ExecBackend> backend_;
     uint64_t calls_executed_ = 0;
     uint64_t programs_executed_ = 0;
@@ -78,13 +85,14 @@ class Executor
  * stream), every other executor gets a noise seed split from the base
  * seed so concurrent workers draw decorrelated noise. Each worker must
  * use only its own executor; the pool itself is immutable after
- * construction.
+ * construction. Every executor reports into `metrics`.
  */
 class ExecutorPool
 {
   public:
     ExecutorPool(const kern::Kernel &kernel, const ExecOptions &base,
-                 size_t count);
+                 size_t count,
+                 obs::Registry &metrics = obs::Registry::global());
 
     Executor &at(size_t worker) { return *executors_[worker]; }
     const Executor &at(size_t worker) const

@@ -4,6 +4,7 @@
 
 #include "kernel/kernel.h"
 #include "prog/serialize.h"
+#include "prog/validate.h"
 #include "util/hash.h"
 
 namespace sp::fleet {
@@ -50,8 +51,8 @@ FleetAggregate::merge(const LeaseResultMsg &result)
         if (crash.bug_index >= kernel_.bugs().size())
             continue;  // not this kernel's crash; drop, don't die
         auto parsed = prog::parseProg(crash.trigger, kernel_.table());
-        if (!parsed.ok())
-            continue;
+        if (!parsed.ok() || prog::validateProg(*parsed.prog))
+            continue;  // untrusted text: drop what breaks an invariant
         const size_t before = crashes_.uniqueCrashes();
         crashes_.record(crash.bug_index, *parsed.prog, crash.slot);
         if (crashes_.uniqueCrashes() > before)

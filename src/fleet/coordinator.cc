@@ -18,12 +18,6 @@ namespace sp::fleet {
 
 namespace {
 
-obs::Counter &
-fleetCounter(const char *name)
-{
-    return obs::Registry::global().counter(name);
-}
-
 std::string
 jsonDouble(double v)
 {
@@ -43,6 +37,7 @@ Coordinator::Coordinator(const kern::Kernel &kernel,
                             : std::max<uint64_t>(1, opts_.budget / 12)),
       lease_slots_(0),
       kernel_fingerprint_(data::kernelFingerprint(kernel)),
+      metrics_(obs::Registry::global()),
       aggregate_(kernel, opts_.covmap),
       recorder_(obs::TimelineOptions{}),
       listener_(opts_.port)
@@ -65,7 +60,7 @@ Coordinator::Coordinator(const kern::Kernel &kernel,
           "fleet.bytes_rx", "fleet.bytes_tx", "fleet.reconnects",
           "fleet.frame_errors", "fleet.results_stale",
           "fleet.shards_received"})
-        fleetCounter(name);
+        metrics_.counter(name);
 
     if (!opts_.harvest_dir.empty())
         ::mkdir(opts_.harvest_dir.c_str(), 0755);
@@ -87,7 +82,6 @@ Coordinator::Coordinator(const kern::Kernel &kernel,
             SP_FATAL("fleet: cannot open --timeline-out %s",
                      opts_.timeline_out.c_str());
         timeline_open_ = true;
-        recorder_.rebaseline();
     }
 
     if (opts_.serve_status) {
@@ -327,7 +321,7 @@ Coordinator::handleConnection(int fd, uint64_t conn_id)
                            const std::vector<uint8_t> &payload) {
         const uint64_t before = tx;
         const bool ok = sendFrame(fd, type, payload, &tx);
-        fleetCounter("fleet.bytes_tx").inc(tx - before);
+        metrics_.counter("fleet.bytes_tx").inc(tx - before);
         {
             std::lock_guard<std::mutex> lock(mu_);
             tallies_.bytes_tx += tx - before;
@@ -340,7 +334,7 @@ Coordinator::handleConnection(int fd, uint64_t conn_id)
         uint64_t rx = 0;
         std::string err;
         const RecvStatus status = recvFrame(fd, &frame, &rx, &err);
-        fleetCounter("fleet.bytes_rx").inc(rx);
+        metrics_.counter("fleet.bytes_rx").inc(rx);
         {
             std::lock_guard<std::mutex> lock(mu_);
             tallies_.bytes_rx += rx;
@@ -352,7 +346,7 @@ Coordinator::handleConnection(int fd, uint64_t conn_id)
             msg.message = "wire version skew (coordinator speaks v" +
                           std::to_string(kWireVersion) + ")";
             reply(MsgType::Error, msg.encode());
-            fleetCounter("fleet.frame_errors").inc();
+            metrics_.counter("fleet.frame_errors").inc();
             std::lock_guard<std::mutex> lock(mu_);
             ++tallies_.frame_errors;
             break;
@@ -360,7 +354,7 @@ Coordinator::handleConnection(int fd, uint64_t conn_id)
         if (status == RecvStatus::Malformed) {
             // Unknown stream position: drop this connection, keep
             // serving every other peer.
-            fleetCounter("fleet.frame_errors").inc();
+            metrics_.counter("fleet.frame_errors").inc();
             std::lock_guard<std::mutex> lock(mu_);
             ++tallies_.frame_errors;
             break;
@@ -371,7 +365,7 @@ Coordinator::handleConnection(int fd, uint64_t conn_id)
         if (frame.type == MsgType::Hello) {
             HelloMsg hello;
             if (!hello.decode(frame.payload)) {
-                fleetCounter("fleet.frame_errors").inc();
+                metrics_.counter("fleet.frame_errors").inc();
                 break;
             }
             if (hello.wire_version != kWireVersion) {
@@ -387,7 +381,7 @@ Coordinator::handleConnection(int fd, uint64_t conn_id)
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 if (!node_names_.insert(hello.node_name).second) {
-                    fleetCounter("fleet.reconnects").inc();
+                    metrics_.counter("fleet.reconnects").inc();
                     ++tallies_.reconnects;
                 } else {
                     ++tallies_.nodes_seen;
@@ -435,7 +429,7 @@ Coordinator::handleConnection(int fd, uint64_t conn_id)
         if (frame.type == MsgType::LeaseResult) {
             LeaseResultMsg result;
             if (!result.decode(frame.payload)) {
-                fleetCounter("fleet.frame_errors").inc();
+                metrics_.counter("fleet.frame_errors").inc();
                 break;
             }
             ResultAckMsg ack;
@@ -505,7 +499,7 @@ Coordinator::grantLocked(uint64_t conn_id)
     // fresh trajectory instead of replaying the lost node's.
     grant.node_seed = splitSeed(opts_.seed, id);
     grant.batch = aggregate_.seedBatch(opts_.seed_batch_max);
-    fleetCounter("fleet.leases_granted").inc();
+    metrics_.counter("fleet.leases_granted").inc();
     ++tallies_.leases_granted;
     return grant;
 }
@@ -534,7 +528,7 @@ Coordinator::reclaimLocked(uint64_t lease_id)
         return;
     returned_.emplace_back(it->second.begin, it->second.count);
     outstanding_.erase(it);
-    fleetCounter("fleet.leases_expired").inc();
+    metrics_.counter("fleet.leases_expired").inc();
     ++tallies_.leases_reclaimed;
 }
 
@@ -559,7 +553,7 @@ Coordinator::completeLocked(uint64_t conn_id,
     if (it == outstanding_.end() || it->second.conn != conn_id) {
         // Reclaimed and possibly re-issued: merging would double-count
         // the slot range, so the whole result is dropped.
-        fleetCounter("fleet.results_stale").inc();
+        metrics_.counter("fleet.results_stale").inc();
         ++tallies_.results_stale;
         return ack;
     }
@@ -567,10 +561,10 @@ Coordinator::completeLocked(uint64_t conn_id,
     outstanding_.erase(it);
 
     const MergeOutcome outcome = aggregate_.merge(result);
-    fleetCounter("fleet.programs_pushed").inc(result.programs.size());
-    fleetCounter("fleet.programs_deduped").inc(outcome.dup_programs);
-    fleetCounter("fleet.crashes_pushed").inc(result.crashes.size());
-    fleetCounter("fleet.crashes_deduped").inc(outcome.dup_crashes);
+    metrics_.counter("fleet.programs_pushed").inc(result.programs.size());
+    metrics_.counter("fleet.programs_deduped").inc(outcome.dup_programs);
+    metrics_.counter("fleet.crashes_pushed").inc(result.crashes.size());
+    metrics_.counter("fleet.crashes_deduped").inc(outcome.dup_crashes);
     tallies_.programs_pushed += result.programs.size();
     tallies_.programs_deduped += outcome.dup_programs;
     tallies_.crashes_pushed += result.crashes.size();
@@ -644,7 +638,7 @@ Coordinator::emitTicksLocked()
     while ((ticks_emitted_ + 1) * checkpoint_every_ <= watermark_) {
         ++ticks_emitted_;
         recorder_.onCheckpoint(
-            buildTickLocked(ticks_emitted_ * checkpoint_every_));
+            buildTickLocked(ticks_emitted_ * checkpoint_every_), metrics_);
     }
 }
 
@@ -654,7 +648,7 @@ Coordinator::finalizeLocked()
     if (!timeline_open_ || finalized_)
         return;
     finalized_ = true;
-    recorder_.finalize(buildTickLocked(watermark_));
+    recorder_.finalize(buildTickLocked(watermark_), metrics_);
 }
 
 void
@@ -677,7 +671,7 @@ Coordinator::writeShardLocked(const std::vector<uint8_t> &bytes)
         return;
     std::fwrite(bytes.data(), 1, bytes.size(), f);
     std::fclose(f);
-    fleetCounter("fleet.shards_received").inc();
+    metrics_.counter("fleet.shards_received").inc();
     ++tallies_.shards_received;
 }
 

@@ -177,6 +177,9 @@ class Coordinator
     uint64_t checkpoint_every_;
     uint64_t lease_slots_;
     uint64_t kernel_fingerprint_;
+    /** The coordinator's `fleet.*` metrics (a child of the global
+     *  registry), which its timeline samples. */
+    obs::Registry metrics_;
 
     mutable std::mutex mu_;
     std::condition_variable drained_cv_;

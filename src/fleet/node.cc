@@ -18,6 +18,7 @@
 #include "obs/covmap.h"
 #include "obs/netio.h"
 #include "prog/serialize.h"
+#include "prog/validate.h"
 #include "util/logging.h"
 
 namespace sp::fleet {
@@ -64,9 +65,12 @@ runLease(const kern::Kernel &kernel, const HelloAckMsg &cfg,
     // exploration floor); an unseeded one bootstraps a full corpus.
     copts.fuzz.seed_corpus_size =
         grant.batch.empty() ? cfg.seed_corpus_size : cfg.lease_gen_seeds;
+    // The batch crosses a trust boundary: a text that parses but breaks
+    // a structural invariant (e.g. a stale Len field) is dropped like
+    // an unparseable one.
     for (const std::string &text : grant.batch) {
         auto parsed = prog::parseProg(text, kernel.table());
-        if (parsed.ok())
+        if (parsed.ok() && !prog::validateProg(*parsed.prog))
             copts.fuzz.injected_seeds.push_back(std::move(*parsed.prog));
     }
 
@@ -103,8 +107,13 @@ runLease(const kern::Kernel &kernel, const HelloAckMsg &cfg,
     result.lease_id = grant.lease_id;
     result.execs = report.execs;
 
+    // Injected seeds run first, in slots 1..k: entries admitted there
+    // are the coordinator's own batch, which it already holds.
+    const uint64_t injected = copts.fuzz.injected_seeds.size();
     for (size_t i = 0; i < engine->corpus().size(); ++i) {
         const fuzz::CorpusEntry &entry = engine->corpus().entry(i);
+        if (entry.admitted_at_exec <= injected)
+            continue;
         WireProgram program;
         program.text = prog::formatProg(entry.program);
         const auto &coverage = entry.result.coverage;
@@ -129,7 +138,6 @@ runLease(const kern::Kernel &kernel, const HelloAckMsg &cfg,
     }
 
     if (covmap != nullptr) {
-        covmap->finalize(report.execs);
         result.have_cov = true;
         const std::vector<uint64_t> blocks = covmap->mergedBlockHits();
         for (uint32_t i = 0; i < blocks.size(); ++i) {

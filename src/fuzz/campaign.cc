@@ -18,6 +18,31 @@ namespace sp::fuzz {
 
 namespace {
 
+/** Handles for the fuzz-loop metrics in the campaign's registry. */
+struct FuzzMetrics
+{
+    obs::Counter &execs;
+    obs::Counter &arg_mutants;
+    obs::Counter &arg_admitted;
+    obs::Counter &structural_mutants;
+    obs::Counter &structural_admitted;
+    obs::Counter &seed_programs;
+    obs::Histogram &checkpoint_edge_delta;
+
+    explicit FuzzMetrics(obs::Registry &reg)
+        : execs(reg.counter("fuzz.execs")),
+          arg_mutants(reg.counter("fuzz.mutants.arg")),
+          arg_admitted(reg.counter("fuzz.mutants.arg_admitted")),
+          structural_mutants(reg.counter("fuzz.mutants.structural")),
+          structural_admitted(
+              reg.counter("fuzz.mutants.structural_admitted")),
+          seed_programs(reg.counter("fuzz.seed_programs")),
+          checkpoint_edge_delta(
+              reg.histogram("fuzz.checkpoint.edge_delta"))
+    {
+    }
+};
+
 /** Per-lane tallies shared by every worker of one campaign. */
 struct LaneTally
 {
@@ -28,6 +53,13 @@ struct LaneTally
 /** State shared by every worker of one campaign run. */
 struct CampaignShared
 {
+    explicit CampaignShared(obs::Registry &reg) : registry(reg), metrics(reg)
+    {
+    }
+
+    /** The campaign's registry (CampaignEngine::metrics()). */
+    obs::Registry &registry;
+    FuzzMetrics metrics;
     const FuzzOptions *opts = nullptr;
     Corpus *corpus = nullptr;
     CrashLog *crashes = nullptr;
@@ -115,32 +147,6 @@ laneName(MutationLane lane)
     return "?";
 }
 
-/** Registry handles for the fuzz-loop counters (looked up once). */
-struct FuzzMetrics
-{
-    obs::Counter &execs;
-    obs::Counter &arg_mutants;
-    obs::Counter &arg_admitted;
-    obs::Counter &structural_mutants;
-    obs::Counter &structural_admitted;
-    obs::Counter &seed_programs;
-
-    static FuzzMetrics &
-    get()
-    {
-        auto &reg = obs::Registry::global();
-        static FuzzMetrics metrics{
-            reg.counter("fuzz.execs"),
-            reg.counter("fuzz.mutants.arg"),
-            reg.counter("fuzz.mutants.arg_admitted"),
-            reg.counter("fuzz.mutants.structural"),
-            reg.counter("fuzz.mutants.structural_admitted"),
-            reg.counter("fuzz.seed_programs"),
-        };
-        return metrics;
-    }
-};
-
 uint64_t
 microsSince(std::chrono::steady_clock::time_point start)
 {
@@ -148,6 +154,51 @@ microsSince(std::chrono::steady_clock::time_point start)
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
+}
+
+/**
+ * One timeline tick: a checkpoint's campaign facts plus the merged
+ * covmap summary and policy posterior (both nullable). The fuzz layer
+ * owns this mapping so obs::TimelineTick stays plain fields.
+ */
+obs::TimelineTick
+makeTimelineTick(const Checkpoint &cp, size_t corpus_size,
+                 const obs::CovMap *covmap,
+                 const DecisionPolicy *policy)
+{
+    obs::TimelineTick tick;
+    tick.execs = cp.execs;
+    tick.edges = cp.edges;
+    tick.blocks = cp.blocks;
+    tick.crashes = cp.crashes;
+    tick.corpus_size = corpus_size;
+    if (covmap != nullptr) {
+        const obs::CovSummary cov = covmap->summary();
+        tick.have_cov = true;
+        tick.cov_blocks_hit = cov.blocks_hit;
+        tick.cov_edges_hit = cov.edges_hit;
+        tick.cov_total_block_hits = cov.total_block_hits;
+        tick.cov_frontier_size = cov.frontier_size;
+        tick.cov_stray_edges = cov.stray_edges;
+    }
+    if (policy != nullptr) {
+        tick.have_policy = true;
+        tick.policy_name = policy->name();
+        tick.pmm_share = policy->pmmShare();
+        const size_t arms = policy->armCount();
+        for (size_t arm = 0; arm < arms; ++arm) {
+            const uint64_t pulls =
+                policy->mergedPulls(static_cast<int>(arm));
+            if (pulls == 0)
+                continue;
+            obs::TimelineArm entry;
+            entry.arm = static_cast<int>(arm);
+            entry.pulls = pulls;
+            entry.wins = policy->mergedWins(static_cast<int>(arm));
+            tick.arms.push_back(entry);
+        }
+    }
+    return tick;
 }
 
 /**
@@ -195,10 +246,7 @@ maybeEmitCheckpoint(WorkerEnv &env, uint64_t slot)
     shared.board.push_back(cp);
 
     if (obs::timingEnabled()) {
-        static obs::Histogram &delta_hist =
-            obs::Registry::global().histogram(
-                "fuzz.checkpoint.edge_delta");
-        delta_hist.record(
+        shared.metrics.checkpoint_edge_delta.record(
             static_cast<double>(cp.edges - shared.last_checkpoint_edges));
     }
     if (auto *sink = obs::sink()) {
@@ -218,7 +266,7 @@ maybeEmitCheckpoint(WorkerEnv &env, uint64_t slot)
     // few of their hits — window boundaries are approximate under
     // concurrency, the cumulative map is exact.
     if (shared.opts->covmap != nullptr)
-        shared.opts->covmap->onCheckpoint(slot);
+        shared.opts->covmap->onCheckpoint(slot, shared.registry);
     // Policy posterior merge: same serialized-owner discipline. Rewards
     // recorded after this merge fold in at the next boundary.
     if (shared.policy != nullptr)
@@ -229,7 +277,8 @@ maybeEmitCheckpoint(WorkerEnv &env, uint64_t slot)
     if (shared.opts->timeline != nullptr) {
         shared.opts->timeline->onCheckpoint(
             makeTimelineTick(cp, shared.corpus->size(),
-                             shared.opts->covmap, shared.policy));
+                             shared.opts->covmap, shared.policy),
+            shared.registry);
     }
     {
         std::lock_guard<std::mutex> lock(shared.checkpoint_mu);
@@ -302,7 +351,7 @@ executeSlot(WorkerEnv &env, const prog::Prog &program,
     if (admitted)
         tally.admitted.fetch_add(1, std::memory_order_relaxed);
 
-    FuzzMetrics &metrics = FuzzMetrics::get();
+    FuzzMetrics &metrics = shared.metrics;
     metrics.execs.inc();
     switch (lane) {
       case MutationLane::Seed:
@@ -361,46 +410,6 @@ execOptionsFor(const FuzzOptions &opts)
     exec_opts.noise_seed = opts.seed ^ 0xabcdef;
     exec_opts.backend = opts.exec_backend;
     return exec_opts;
-}
-
-obs::TimelineTick
-makeTimelineTick(const Checkpoint &cp, size_t corpus_size,
-                 const obs::CovMap *covmap,
-                 const DecisionPolicy *policy)
-{
-    obs::TimelineTick tick;
-    tick.execs = cp.execs;
-    tick.edges = cp.edges;
-    tick.blocks = cp.blocks;
-    tick.crashes = cp.crashes;
-    tick.corpus_size = corpus_size;
-    if (covmap != nullptr) {
-        const obs::CovSummary cov = covmap->summary();
-        tick.have_cov = true;
-        tick.cov_blocks_hit = cov.blocks_hit;
-        tick.cov_edges_hit = cov.edges_hit;
-        tick.cov_total_block_hits = cov.total_block_hits;
-        tick.cov_frontier_size = cov.frontier_size;
-        tick.cov_stray_edges = cov.stray_edges;
-    }
-    if (policy != nullptr) {
-        tick.have_policy = true;
-        tick.policy_name = policy->name();
-        tick.pmm_share = policy->pmmShare();
-        const size_t arms = policy->armCount();
-        for (size_t arm = 0; arm < arms; ++arm) {
-            const uint64_t pulls =
-                policy->mergedPulls(static_cast<int>(arm));
-            if (pulls == 0)
-                continue;
-            obs::TimelineArm entry;
-            entry.arm = static_cast<int>(arm);
-            entry.pulls = pulls;
-            entry.wins = policy->mergedWins(static_cast<int>(arm));
-            tick.arms.push_back(entry);
-        }
-    }
-    return tick;
 }
 
 std::shared_ptr<Scheduler>
@@ -604,9 +613,11 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
 }
 
 /**
- * Assemble the FuzzReport, set the end-of-run gauges and emit the
+ * Assemble the FuzzReport, set the end-of-run gauges, emit the
  * `campaign_summary` telemetry event (with final crash and per-lane
- * admission totals). `wall_sec` is the campaign's wall-clock duration.
+ * admission totals), then finalize the covmap and the timeline, in
+ * that order (the timeline's final tick reads the settled covmap
+ * summary). `wall_sec` is the campaign's wall-clock duration.
  */
 FuzzReport
 finalizeCampaign(CampaignShared &shared, double wall_sec,
@@ -629,14 +640,14 @@ finalizeCampaign(CampaignShared &shared, double wall_sec,
     const double execs_per_sec =
         wall_sec > 0.0 ? static_cast<double>(report.execs) / wall_sec
                        : 0.0;
-    FuzzMetrics &metrics = FuzzMetrics::get();
+    const FuzzMetrics &metrics = shared.metrics;
     auto rate = [](const obs::Counter &hit, const obs::Counter &total) {
         return total.value() == 0
                    ? 0.0
                    : static_cast<double>(hit.value()) /
                          static_cast<double>(total.value());
     };
-    auto &reg = obs::Registry::global();
+    obs::Registry &reg = shared.registry;
     reg.gauge("fuzz.execs_per_sec").set(execs_per_sec);
     reg.gauge("fuzz.mutant_success.arg")
         .set(rate(metrics.arg_admitted, metrics.arg_mutants));
@@ -646,7 +657,7 @@ finalizeCampaign(CampaignShared &shared, double wall_sec,
     // Fold any post-checkpoint rewards and publish the policy.* gauges
     // (workers have joined; the final merge is single-threaded).
     if (shared.policy != nullptr)
-        shared.policy->exportMetrics();
+        shared.policy->exportMetrics(reg);
     if (auto *sink = obs::sink()) {
         sink->event(
             "campaign_summary",
@@ -669,6 +680,21 @@ finalizeCampaign(CampaignShared &shared, double wall_sec,
              {"policy",
               shared.policy != nullptr ? shared.policy->name() : "?"}});
     }
+
+    obs::CovMap *covmap = shared.opts->covmap;
+    if (covmap != nullptr)
+        covmap->finalize(report.execs, reg);
+    if (shared.opts->timeline != nullptr) {
+        Checkpoint final_cp;
+        final_cp.execs = report.execs;
+        final_cp.edges = report.final_edges;
+        final_cp.blocks = report.final_blocks;
+        final_cp.crashes = report.final_crashes;
+        shared.opts->timeline->finalize(
+            makeTimelineTick(final_cp, report.corpus_size, covmap,
+                             shared.policy),
+            reg);
+    }
     return report;
 }
 
@@ -686,10 +712,12 @@ CampaignEngine::CampaignEngine(const kern::Kernel &kernel,
                                CampaignOptions options,
                                LocalizerFactory make_localizer)
     : kernel_(kernel), opts_(normalized(std::move(options))),
+      metrics_(obs::Registry::global()),
       policy_(makePolicy(opts_.fuzz)),
       mutator_(kernel.table(), opts_.fuzz.mutator),
-      executors_(kernel, execOptionsFor(opts_.fuzz), opts_.workers),
-      corpus_(opts_.workers), crashes_(kernel),
+      executors_(kernel, execOptionsFor(opts_.fuzz), opts_.workers,
+                 metrics_),
+      corpus_(opts_.workers, metrics_), crashes_(kernel, metrics_),
       ledger_(opts_.fuzz.exec_budget, opts_.fuzz.checkpoint_every)
 {
     SP_ASSERT(make_localizer != nullptr,
@@ -724,53 +752,7 @@ CampaignEngine::runUntil(const StopPredicate &stop)
     ran_ = true;
     const auto wall_start = std::chrono::steady_clock::now();
 
-    // Campaign-scoped gauges from a previous run must not linger: an
-    // 8-worker campaign followed by a 2-worker one would otherwise
-    // still report fuzz.worker_busy_ratio.w7, and a random-localizer
-    // campaign would re-serve the previous run's cache hit ratio.
-    // Worker gauges are unregistered (looked up fresh at every set,
-    // no cached handles); the cache ratio is only reset to 0 because
-    // the localizer hot path holds a cached handle to it.
-    auto &reg = obs::Registry::global();
-    reg.unregisterGaugesWithPrefix("fuzz.worker_busy_ratio.w");
-    reg.resetGaugesWithPrefix("snowplow.cache_hit_ratio");
-    // Counters scoped the same way: covmap windows/stray tallies and
-    // the prediction-cache hit/miss counts describe one campaign, not
-    // the process, and their hot paths cache handles (reset keeps
-    // those valid where unregister would not).
-    reg.resetCountersWithPrefix("covmap.");
-    reg.resetGaugesWithPrefix("covmap.");
-    reg.resetCountersWithPrefix("snowplow.cache.");
-    // Policy arm statistics describe one campaign, not the process,
-    // and their export path caches gauge handles.
-    reg.resetGaugesWithPrefix("policy.");
-    reg.resetCountersWithPrefix("policy.");
-    // Timeline bookkeeping is per campaign too.
-    reg.resetCountersWithPrefix("timeline.");
-    reg.resetGaugesWithPrefix("timeline.");
-    // End-of-run wall-clock gauges from a previous campaign must not
-    // appear in this campaign's timeline samples: they carry machine
-    // time, which would make an otherwise-deterministic artifact
-    // differ across back-to-back runs.
-    reg.resetGaugesWithPrefix("fuzz.execs_per_sec");
-    reg.resetGaugesWithPrefix("fuzz.mutant_success.");
-    // Latency/size distributions are campaign-scoped the same way as
-    // the counters above — their hot paths cache handles, so reset in
-    // place. Without this, a second campaign's timeline inherits the
-    // first one's exec.restore_us / exec.dirty_entries / nn.gemm_us
-    // moments.
-    reg.resetDistributionsWithPrefix("exec.");
-    reg.resetDistributionsWithPrefix("fuzz.");
-    reg.resetDistributionsWithPrefix("covmap.");
-    reg.resetDistributionsWithPrefix("nn.");
-    reg.resetDistributionsWithPrefix("timeline.");
-    // The recorder took its baselines at construction, before the
-    // resets above; recapture them so campaign-reset counters read as
-    // raw campaign counts instead of value-minus-stale-baseline.
-    if (opts_.fuzz.timeline != nullptr)
-        opts_.fuzz.timeline->rebaseline();
-
-    CampaignShared shared;
+    CampaignShared shared(metrics_);
     shared.opts = &opts_.fuzz;
     shared.corpus = &corpus_;
     shared.crashes = &crashes_;
@@ -870,9 +852,8 @@ CampaignEngine::runUntil(const StopPredicate &stop)
                 ? static_cast<double>(env.wall_us - env.wait_us) /
                       static_cast<double>(env.wall_us)
                 : 0.0;
-        // setGauge, not gauge().set(): a campaign starting on another
-        // thread unregisters these gauges (see the top of runUntil).
-        reg.setGauge(obs::workerMetric("fuzz.worker_busy_ratio", w), busy);
+        metrics_.gauge(obs::workerMetric("fuzz.worker_busy_ratio", w))
+            .set(busy);
     }
 
     const double wall_sec =

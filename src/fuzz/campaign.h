@@ -46,11 +46,11 @@
 #include "fuzz/policy.h"
 #include "fuzz/sched.h"
 #include "mutate/mutator.h"
+#include "obs/metrics.h"
 
 namespace sp::obs {
 class CovMap;
 class TimelineRecorder;
-struct TimelineTick;
 }
 
 namespace sp::fuzz {
@@ -96,17 +96,19 @@ struct FuzzOptions
     /**
      * Optional coverage-cartography accumulator (obs/covmap.h, not
      * owned; must outlive the run). Workers record per-call block
-     * traces into their shard after every execution and the in-order
+     * traces into their shard after every execution, the in-order
      * checkpoint owner merges + emits one snapshot window per grid
-     * boundary. Null = hit-count profiling off (zero overhead).
+     * boundary, and the run finalizes it. Null = hit-count profiling
+     * off (zero overhead).
      */
     obs::CovMap *covmap = nullptr;
     /**
      * Optional campaign timeline recorder (obs/timeline.h, not owned;
      * must outlive the run). The in-order checkpoint owner hands it
      * one tick per grid boundary — campaign facts plus the covmap and
-     * policy merged state — and it samples the metrics registry under
-     * that serialization. Null = no metric history (zero overhead).
+     * policy merged state — and it samples the campaign's registry
+     * under that serialization; the run ends with its final record
+     * (after the covmap's). Null = no metric history (zero overhead).
      */
     obs::TimelineRecorder *timeline = nullptr;
     /**
@@ -209,19 +211,6 @@ exec::ExecOptions execOptionsFor(const FuzzOptions &opts);
  */
 std::shared_ptr<Scheduler> makeScheduler(const FuzzOptions &opts);
 
-/**
- * Assemble one timeline tick from a checkpoint's campaign facts plus
- * the merged covmap summary and policy posterior (both nullable). The
- * fuzz layer owns this mapping so obs::TimelineTick stays plain
- * fields; the serialized checkpoint owner calls it per grid boundary,
- * and the CLI calls it once more (after CovMap::finalize) for the
- * artifact's final record.
- */
-obs::TimelineTick makeTimelineTick(const Checkpoint &cp,
-                                   size_t corpus_size,
-                                   const obs::CovMap *covmap,
-                                   const DecisionPolicy *policy);
-
 /** Campaign-engine configuration. */
 struct CampaignOptions
 {
@@ -238,7 +227,7 @@ struct CampaignOptions
 
 /**
  * Runs one fuzzing campaign over N staged workers. One-shot: construct,
- * run() or runUntil(), then inspect corpus()/crashes().
+ * run() or runUntil(), then inspect corpus()/crashes()/metrics().
  */
 class CampaignEngine
 {
@@ -277,14 +266,25 @@ class CampaignEngine
     size_t workerCount() const { return opts_.workers; }
     /** Executions completed so far (seed stage included). */
     uint64_t execs() const { return ledger_.completed(); }
-    /** The campaign's decision policy (timeline final ticks sample
-     *  its merged posterior after the run). */
+    /** The campaign's decision policy (merged posterior after the
+     *  run). */
     const DecisionPolicy *policy() const { return policy_.get(); }
+    /**
+     * This campaign's metrics (`fuzz.*`, `campaign.*`, `crash.*`,
+     * `exec.*`, `covmap.*`, `policy.*`, `timeline.*`), a child of
+     * obs::Registry::global(): every write also lands in the global
+     * metric of the same name, but this registry counts this campaign
+     * alone.
+     */
+    obs::Registry &metrics() { return metrics_; }
+    const obs::Registry &metrics() const { return metrics_; }
     /** @} */
 
   private:
     const kern::Kernel &kernel_;
     CampaignOptions opts_;
+    /** Declared before every member holding handles into it. */
+    obs::Registry metrics_;
     std::shared_ptr<DecisionPolicy> policy_;
     mut::Mutator mutator_;
     exec::ExecutorPool executors_;

@@ -5,22 +5,10 @@
 
 namespace sp::fuzz {
 
-namespace {
-
-/** Admission-lock contention events (multi-worker campaigns). */
-obs::Counter &
-admitContentionCounter()
-{
-    static obs::Counter &counter =
-        obs::Registry::global().counter("campaign.admit_contention");
-    return counter;
-}
-
-}  // namespace
-
-Corpus::Corpus(size_t shards)
+Corpus::Corpus(size_t shards, obs::Registry &metrics)
     : shard_count_(shards == 0 ? 1 : shards),
-      shards_(std::make_unique<Shard[]>(shard_count_))
+      shards_(std::make_unique<Shard[]>(shard_count_)),
+      admit_contention_(metrics.counter("campaign.admit_contention"))
 {
 }
 
@@ -36,7 +24,7 @@ Corpus::maybeAdd(const prog::Prog &program, const exec::ExecResult &result,
     {
         std::unique_lock<std::mutex> lock(cov_mu_, std::try_to_lock);
         if (!lock.owns_lock()) {
-            admitContentionCounter().inc();
+            admit_contention_.inc();
             lock.lock();
         }
         const size_t blocks_before = total_.blockCount();

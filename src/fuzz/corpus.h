@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "exec/executor.h"
+#include "obs/metrics.h"
 #include "prog/value.h"
 #include "util/rng.h"
 
@@ -47,8 +48,13 @@ struct CorpusEntry
 class Corpus
 {
   public:
-    /** @param shards  entry shards; 1 reproduces the legacy corpus. */
-    explicit Corpus(size_t shards = 1);
+    /**
+     * @param shards   entry shards; 1 reproduces the legacy corpus.
+     * @param metrics  registry receiving `campaign.admit_contention`
+     *                 (a campaign passes its own).
+     */
+    explicit Corpus(size_t shards = 1,
+                    obs::Registry &metrics = obs::Registry::global());
 
     Corpus(const Corpus &) = delete;
     Corpus &operator=(const Corpus &) = delete;
@@ -134,6 +140,9 @@ class Corpus
     std::atomic<size_t> block_count_{0};
     std::atomic<size_t> size_{0};
     std::atomic<uint64_t> epoch_{0};
+
+    /** Admission-lock contention events (multi-worker campaigns). */
+    obs::Counter &admit_contention_;
 };
 
 }  // namespace sp::fuzz

@@ -8,8 +8,9 @@
 
 namespace sp::fuzz {
 
-CrashLog::CrashLog(const kern::Kernel &kernel)
-    : kernel_(kernel)
+CrashLog::CrashLog(const kern::Kernel &kernel, obs::Registry &metrics)
+    : kernel_(kernel), unique_metric_(metrics.counter("crash.unique")),
+      duplicate_metric_(metrics.counter("crash.duplicate"))
 {
 }
 
@@ -21,7 +22,7 @@ CrashLog::record(uint32_t bug_index, const prog::Prog &trigger,
     auto it = by_bug_.find(bug_index);
     if (it != by_bug_.end()) {
         ++records_[it->second].hit_count;
-        obs::Registry::global().counter("crash.duplicate").inc();
+        duplicate_metric_.inc();
         if (auto *sink = obs::sink()) {
             sink->event("crash_dedup",
                         {{"bug_index", bug_index},
@@ -33,7 +34,7 @@ CrashLog::record(uint32_t bug_index, const prog::Prog &trigger,
     }
     SP_ASSERT(bug_index < kernel_.bugs().size());
     const kern::BugSite &bug = kernel_.bugs()[bug_index];
-    obs::Registry::global().counter("crash.unique").inc();
+    unique_metric_.inc();
     if (auto *sink = obs::sink()) {
         sink->event("crash_dedup",
                     {{"bug_index", bug_index},

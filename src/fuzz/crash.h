@@ -22,6 +22,7 @@
 
 #include "exec/executor.h"
 #include "kernel/kernel.h"
+#include "obs/metrics.h"
 #include "prog/value.h"
 
 namespace sp::fuzz {
@@ -60,7 +61,10 @@ struct ReproOptions
 class CrashLog
 {
   public:
-    explicit CrashLog(const kern::Kernel &kernel);
+    /** `metrics` receives `crash.unique` / `crash.duplicate` (a
+     *  campaign passes its own registry). */
+    explicit CrashLog(const kern::Kernel &kernel,
+                      obs::Registry &metrics = obs::Registry::global());
 
     /** Record a crash observation; dedups by bug site. Thread-safe. */
     void record(uint32_t bug_index, const prog::Prog &trigger,
@@ -95,6 +99,8 @@ class CrashLog
                        const ReproOptions &opts, uint64_t salt) const;
 
     const kern::Kernel &kernel_;
+    obs::Counter &unique_metric_;
+    obs::Counter &duplicate_metric_;
     mutable std::mutex mu_;  ///< guards records_ and by_bug_ mutation
     std::vector<CrashRecord> records_;
     std::unordered_map<uint32_t, size_t> by_bug_;

@@ -51,28 +51,6 @@ sampleBeta(Rng &rng, double alpha, double beta)
     return sum > 0.0 ? x / sum : 0.5;
 }
 
-/** Registry handles for the policy gauges (looked up once; the values
- *  are campaign-scoped via resetGaugesWithPrefix("policy."), which
- *  zeroes in place and keeps these handles valid). */
-struct PolicyMetrics
-{
-    obs::Gauge &arm_pulls;
-    obs::Gauge &arm_mean_reward;
-    obs::Gauge &pmm_share;
-
-    static PolicyMetrics &
-    get()
-    {
-        auto &reg = obs::Registry::global();
-        static PolicyMetrics metrics{
-            reg.gauge("policy.arm_pulls"),
-            reg.gauge("policy.arm_mean_reward"),
-            reg.gauge("policy.pmm_share"),
-        };
-        return metrics;
-    }
-};
-
 }  // namespace
 
 DecisionPolicy::DecisionPolicy(PolicyOptions opts)
@@ -220,7 +198,7 @@ DecisionPolicy::bucketOf(const CorpusEntry &entry,
 }
 
 void
-DecisionPolicy::exportMetrics()
+DecisionPolicy::exportMetrics(obs::Registry &metrics)
 {
     mergeShards();
     uint64_t pulls = 0;
@@ -230,13 +208,12 @@ DecisionPolicy::exportMetrics()
         pulls += mergedPulls(static_cast<int>(a));
         wins += mergedWins(static_cast<int>(a));
     }
-    PolicyMetrics &metrics = PolicyMetrics::get();
-    metrics.arm_pulls.set(static_cast<double>(pulls));
-    metrics.arm_mean_reward.set(
-        pulls == 0 ? 0.0
-                   : static_cast<double>(wins) /
-                         static_cast<double>(pulls));
-    metrics.pmm_share.set(pmmShare());
+    metrics.gauge("policy.arm_pulls").set(static_cast<double>(pulls));
+    metrics.gauge("policy.arm_mean_reward")
+        .set(pulls == 0 ? 0.0
+                        : static_cast<double>(wins) /
+                              static_cast<double>(pulls));
+    metrics.gauge("policy.pmm_share").set(pmmShare());
 }
 
 std::string

@@ -48,6 +48,10 @@
 #include "fuzz/sched.h"
 #include "mutate/mutator.h"
 
+namespace sp::obs {
+class Registry;
+}
+
 namespace sp::fuzz {
 
 class DecisionPolicy;
@@ -172,8 +176,9 @@ class DecisionPolicy
      */
     virtual void onCheckpoint(uint64_t slot);
 
-    /** Final merge + `policy.*` gauge export (post-join only). */
-    void exportMetrics();
+    /** Final merge + `policy.*` gauge export into `metrics` (the
+     *  campaign's registry; post-join only). */
+    void exportMetrics(obs::Registry &metrics);
 
     /** Compact posterior summary for the /status campaign section. */
     std::string statusJson() const;

@@ -9,34 +9,6 @@ namespace sp::obs {
 
 namespace {
 
-/** Registry handles for the covmap metrics (looked up once). */
-struct CovMetrics
-{
-    Counter &windows;
-    Counter &stray_edges;
-    Gauge &resident_bytes;
-    Gauge &blocks_hit;
-    Gauge &edges_hit;
-    Gauge &frontier_size;
-    Histogram &merge_us;
-
-    static CovMetrics &
-    get()
-    {
-        auto &reg = Registry::global();
-        static CovMetrics metrics{
-            reg.counter("covmap.windows"),
-            reg.counter("covmap.stray_edges"),
-            reg.gauge("covmap.resident_bytes"),
-            reg.gauge("covmap.blocks_hit"),
-            reg.gauge("covmap.edges_hit"),
-            reg.gauge("covmap.frontier_size"),
-            reg.histogram("covmap.merge_us"),
-        };
-        return metrics;
-    }
-};
-
 /** Append `[[k,v],...]` for every non-zero delta (sorted by key). */
 void
 appendDeltaPairs(std::string &out, const std::vector<uint64_t> &now,
@@ -294,7 +266,7 @@ computeFrontier(const CovMapPlan &plan,
 }
 
 void
-CovMap::mergeLocked(uint64_t execs, bool emit_window)
+CovMap::mergeLocked(uint64_t execs, bool emit_window, Registry &metrics)
 {
     // Wall-clock merge cost is telemetry, not campaign state: gate it
     // like every SP_TIMED span so sink-less runs keep the registry
@@ -350,8 +322,7 @@ CovMap::mergeLocked(uint64_t execs, bool emit_window)
         std::fwrite(line.data(), 1, line.size(), log_);
     }
 
-    CovMetrics &metrics = CovMetrics::get();
-    metrics.stray_edges.inc(stray - merged_stray_);
+    metrics.counter("covmap.stray_edges").inc(stray - merged_stray_);
 
     merged_blocks_ = std::move(blocks);
     merged_edges_ = std::move(edges);
@@ -371,33 +342,35 @@ CovMap::mergeLocked(uint64_t execs, bool emit_window)
             std::min(frontier.size(), kSummaryFrontierCap));
 
     if (emit_window)
-        metrics.windows.inc();
-    metrics.blocks_hit.set(static_cast<double>(blocks_hit));
-    metrics.edges_hit.set(static_cast<double>(edges_hit));
-    metrics.frontier_size.set(static_cast<double>(frontier.size()));
-    metrics.resident_bytes.set(static_cast<double>(residentBytes()));
+        metrics.counter("covmap.windows").inc();
+    metrics.gauge("covmap.blocks_hit").set(static_cast<double>(blocks_hit));
+    metrics.gauge("covmap.edges_hit").set(static_cast<double>(edges_hit));
+    metrics.gauge("covmap.frontier_size")
+        .set(static_cast<double>(frontier.size()));
+    metrics.gauge("covmap.resident_bytes")
+        .set(static_cast<double>(residentBytes()));
     if (timed) {
-        metrics.merge_us.record(
-            static_cast<double>(monotonicMicros() - start_us));
+        metrics.histogram("covmap.merge_us")
+            .record(static_cast<double>(monotonicMicros() - start_us));
     }
 }
 
 void
-CovMap::onCheckpoint(uint64_t execs)
+CovMap::onCheckpoint(uint64_t execs, Registry &metrics)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_)
         return;
-    mergeLocked(execs, /*emit_window=*/true);
+    mergeLocked(execs, /*emit_window=*/true, metrics);
 }
 
 void
-CovMap::finalize(uint64_t execs)
+CovMap::finalize(uint64_t execs, Registry &metrics)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_)
         return;
-    mergeLocked(execs, /*emit_window=*/true);
+    mergeLocked(execs, /*emit_window=*/true, metrics);
     finalized_ = true;
     if (log_ == nullptr)
         return;

@@ -23,7 +23,7 @@
  *    (what became newly-reached / hotter since the last checkpoint),
  *    appends a delta-encoded JSONL record to the snapshot log, updates
  *    the live frontier summary served by /coverage, and refreshes the
- *    covmap.* metrics.
+ *    covmap.* metrics in the registry it is handed (the campaign's).
  *
  * Frontier definition (plan-level, no kernel required): a *frontier
  * guard* is a reached block with two static successors of which at
@@ -49,6 +49,8 @@
 #include <vector>
 
 namespace sp::obs {
+
+class Registry;
 
 /** Immutable coverage geometry shared by every shard of one campaign. */
 struct CovMapPlan
@@ -180,16 +182,18 @@ class CovMap
     /**
      * Merge point: fold every shard into the cumulative map, emit one
      * delta window to the log (when open), refresh the live summary
-     * and the covmap.* metrics. Callers must serialize merge points —
-     * the campaign's in-order checkpoint emission already does.
+     * and the covmap.* metrics in `metrics`. Callers must serialize
+     * merge points — the campaign's in-order checkpoint emission
+     * already does.
      */
-    void onCheckpoint(uint64_t execs);
+    void onCheckpoint(uint64_t execs, Registry &metrics);
 
     /**
      * Final merge + `covmap_final` log line + log close. Idempotent;
      * safe without an open log (still merges and refreshes summary).
+     * CampaignEngine calls it at the end of every run.
      */
-    void finalize(uint64_t execs);
+    void finalize(uint64_t execs, Registry &metrics);
 
     /** @name Merged views (fold shards now; any thread) */
     /** @{ */
@@ -220,7 +224,7 @@ class CovMap
                     uint64_t &stray) const;
 
     /** Merge + window emit; caller holds mu_. */
-    void mergeLocked(uint64_t execs, bool emit_window);
+    void mergeLocked(uint64_t execs, bool emit_window, Registry &metrics);
 
     const CovMapPlan plan_;
     std::vector<std::unique_ptr<CovShard>> shards_;

@@ -51,6 +51,8 @@ Histogram::shardForThisThread()
 void
 Histogram::record(double x)
 {
+    if (parent_ != nullptr)
+        parent_->record(x);
     Shard &shard = shardForThisThread();
     std::lock_guard<std::mutex> guard(shard.mu);
     shard.stat.add(x);
@@ -101,16 +103,6 @@ Histogram::stat() const
     return merged;
 }
 
-void
-Histogram::reset()
-{
-    for (Shard &shard : shards_) {
-        std::lock_guard<std::mutex> guard(shard.mu);
-        shard.stat.clear();
-        shard.samples.clear();
-    }
-}
-
 Registry &
 Registry::global()
 {
@@ -125,8 +117,14 @@ Registry::counter(const std::string &name)
     SP_ASSERT(gauges_.count(name) == 0 && histograms_.count(name) == 0,
               "metric name registered with a different kind");
     auto it = counters_.find(name);
-    if (it == counters_.end())
-        it = counters_.emplace(name, std::make_unique<Counter>()).first;
+    if (it == counters_.end()) {
+        // The parent never locks a child, so taking its lock under
+        // ours cannot deadlock.
+        Counter *parent =
+            parent_ != nullptr ? &parent_->counter(name) : nullptr;
+        it = counters_.emplace(name, std::make_unique<Counter>(parent))
+                 .first;
+    }
     return *it->second;
 }
 
@@ -134,24 +132,13 @@ Gauge &
 Registry::gauge(const std::string &name)
 {
     std::lock_guard<std::mutex> guard(mu_);
-    return gaugeLocked(name);
-}
-
-void
-Registry::setGauge(const std::string &name, double value)
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    gaugeLocked(name).set(value);
-}
-
-Gauge &
-Registry::gaugeLocked(const std::string &name)
-{
     SP_ASSERT(counters_.count(name) == 0 && histograms_.count(name) == 0,
               "metric name registered with a different kind");
     auto it = gauges_.find(name);
-    if (it == gauges_.end())
-        it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
+    if (it == gauges_.end()) {
+        Gauge *parent = parent_ != nullptr ? &parent_->gauge(name) : nullptr;
+        it = gauges_.emplace(name, std::make_unique<Gauge>(parent)).first;
+    }
     return *it->second;
 }
 
@@ -163,7 +150,9 @@ Registry::histogram(const std::string &name)
               "metric name registered with a different kind");
     auto it = histograms_.find(name);
     if (it == histograms_.end()) {
-        it = histograms_.emplace(name, std::make_unique<Histogram>())
+        Histogram *parent =
+            parent_ != nullptr ? &parent_->histogram(name) : nullptr;
+        it = histograms_.emplace(name, std::make_unique<Histogram>(parent))
                  .first;
     }
     return *it->second;
@@ -210,18 +199,6 @@ Registry::snapshotJson() const
 }
 
 void
-Registry::reset()
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    for (auto &[name, counter] : counters_)
-        counter->reset();
-    for (auto &[name, gauge] : gauges_)
-        gauge->reset();
-    for (auto &[name, histogram] : histograms_)
-        histogram->reset();
-}
-
-void
 Registry::visit(
     const std::function<void(const std::string &, const Counter &)>
         &on_counter,
@@ -243,65 +220,6 @@ Registry::visit(
         for (const auto &[name, histogram] : histograms_)
             on_histogram(name, *histogram);
     }
-}
-
-size_t
-Registry::unregisterGaugesWithPrefix(const std::string &prefix)
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    size_t removed = 0;
-    for (auto it = gauges_.lower_bound(prefix);
-         it != gauges_.end() && it->first.compare(0, prefix.size(),
-                                                  prefix) == 0;) {
-        it = gauges_.erase(it);
-        ++removed;
-    }
-    return removed;
-}
-
-size_t
-Registry::resetGaugesWithPrefix(const std::string &prefix)
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    size_t reset = 0;
-    for (auto it = gauges_.lower_bound(prefix);
-         it != gauges_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-        it->second->reset();
-        ++reset;
-    }
-    return reset;
-}
-
-size_t
-Registry::resetCountersWithPrefix(const std::string &prefix)
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    size_t reset = 0;
-    for (auto it = counters_.lower_bound(prefix);
-         it != counters_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-        it->second->reset();
-        ++reset;
-    }
-    return reset;
-}
-
-size_t
-Registry::resetDistributionsWithPrefix(const std::string &prefix)
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    size_t reset = 0;
-    for (auto it = histograms_.lower_bound(prefix);
-         it != histograms_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-        it->second->reset();
-        ++reset;
-    }
-    return reset;
 }
 
 std::string

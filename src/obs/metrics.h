@@ -1,19 +1,32 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, gauges and histograms
- * shared by every layer of the fuzz/train/infer stack.
+ * Metrics registries: named counters, gauges and histograms shared by
+ * every layer of the fuzz/train/infer stack.
+ *
+ * Two scopes. `Registry::global()` is the process registry: live
+ * `/metrics`, flight records and the `--metrics-out` snapshot render
+ * it, and process-scoped layers (inference, nn, training, dataset,
+ * tracing, the learned localizer's `snowplow.*`) write it directly.
+ * A campaign owns a child registry (`Registry(Registry &parent)`)
+ * whose metrics write through to the same-named metrics of the parent:
+ * the child reads exactly its own campaign, while the parent sees
+ * every campaign as it runs. Nothing is ever reset, so global counters
+ * and histograms are process-cumulative and global gauges hold the
+ * last value written.
  *
  * Hot-path discipline: counters and gauges are single relaxed atomics
- * (always on, ~1 ns); histograms hash the calling thread onto one of a
- * small set of shards so concurrent recorders almost never contend, and
- * the shards are folded together only at snapshot time via
+ * (always on, ~1 ns; one more per write-through level); histograms
+ * hash the calling thread onto one of a small set of shards so
+ * concurrent recorders almost never contend, and the shards are folded
+ * together only at snapshot time via
  * RunningStat::merge()/Distribution::merge(). Timed spans (SP_TIMED in
  * timer.h) additionally gate on obs::timingEnabled() so a run with no
  * telemetry sink pays one relaxed load per span and nothing else.
  *
  * Metric handles returned by Registry are stable for the registry's
- * lifetime; instrumentation sites look a name up once (function-local
- * static) and keep the reference.
+ * lifetime; instrumentation sites look a name up once (at construction
+ * of the object owning the site, or a function-local static for
+ * process-scoped sites) and keep the reference.
  */
 #ifndef SP_OBS_METRICS_H
 #define SP_OBS_METRICS_H
@@ -36,10 +49,15 @@ namespace sp::obs {
 class Counter
 {
   public:
+    /** `parent` (nullable) receives every increment too. */
+    explicit Counter(Counter *parent = nullptr) : parent_(parent) {}
+
     void
     inc(uint64_t n = 1)
     {
         value_.fetch_add(n, std::memory_order_relaxed);
+        if (parent_ != nullptr)
+            parent_->inc(n);
     }
 
     uint64_t value() const
@@ -47,27 +65,34 @@ class Counter
         return value_.load(std::memory_order_relaxed);
     }
 
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
   private:
     std::atomic<uint64_t> value_{0};
+    Counter *const parent_;
 };
 
 /** Last-write-wins instantaneous value (queue depths, rates). */
 class Gauge
 {
   public:
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
+    /** `parent` (nullable) receives every write too. */
+    explicit Gauge(Gauge *parent = nullptr) : parent_(parent) {}
+
+    void
+    set(double v)
+    {
+        value_.store(v, std::memory_order_relaxed);
+        if (parent_ != nullptr)
+            parent_->set(v);
+    }
 
     double value() const
     {
         return value_.load(std::memory_order_relaxed);
     }
 
-    void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
   private:
     std::atomic<double> value_{0.0};
+    Gauge *const parent_;
 };
 
 /** Merged view of a histogram at one point in time. */
@@ -89,6 +114,9 @@ class Histogram
     /** Samples retained per shard (reservoir beyond that). */
     static constexpr size_t kShardSampleCap = 8192;
 
+    /** `parent` (nullable) receives every observation too. */
+    explicit Histogram(Histogram *parent = nullptr) : parent_(parent) {}
+
     void record(double x);
 
     /** Total observations across all shards. */
@@ -105,9 +133,6 @@ class Histogram
      */
     RunningStat stat() const;
 
-    /** Drop all shards' contents. */
-    void reset();
-
   private:
     static constexpr size_t kShards = 8;
 
@@ -122,17 +147,23 @@ class Histogram
     Shard &shardForThisThread();
 
     std::array<Shard, kShards> shards_;
+    Histogram *const parent_;
 };
 
 /**
  * Named metric registry. `Registry::global()` is the process-wide
- * instance every SP_TIMED span and instrumentation site uses; separate
- * instances can be constructed for tests.
+ * instance every SP_TIMED span and process-scoped instrumentation site
+ * uses; a child registry (one per campaign, one per fleet coordinator)
+ * holds its owner's metrics and writes them through to its parent.
  */
 class Registry
 {
   public:
     Registry() = default;
+    /** A child: each metric it creates writes through to the
+     *  same-named metric of `parent`, which must outlive it. Metrics
+     *  only the parent holds stay invisible to the child. */
+    explicit Registry(Registry &parent) : parent_(&parent) {}
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
 
@@ -156,9 +187,6 @@ class Registry
      */
     std::string snapshotJson() const;
 
-    /** Zero every registered metric (keeps the names). */
-    void reset();
-
     /**
      * Call the matching visitor for every registered metric, in
      * sorted name order, under the registry lock. Visitors must not
@@ -174,58 +202,8 @@ class Registry
                                  const Histogram &)> &on_histogram)
         const;
 
-    /**
-     * Drop every gauge whose name starts with `prefix`; returns how
-     * many were removed. ONLY safe for names no call site holds a
-     * handle to (handles are otherwise stable for the registry's
-     * lifetime), not even briefly: write such gauges with setGauge.
-     * In practice these are the per-campaign worker-tagged gauges
-     * (`fuzz.worker_busy_ratio.w3`), which would otherwise linger in
-     * snapshots of later campaigns run with fewer workers.
-     */
-    size_t unregisterGaugesWithPrefix(const std::string &prefix);
-
-    /**
-     * Register `name` if needed and set it, under the registry lock.
-     * Unlike `gauge(name).set(v)`, a concurrent
-     * unregisterGaugesWithPrefix (another campaign starting in the
-     * same process) cannot free the gauge between lookup and write.
-     */
-    void setGauge(const std::string &name, double value);
-
-    /**
-     * Zero every gauge whose name starts with `prefix` (names stay
-     * registered, so cached handles stay valid); returns how many
-     * were reset. The campaign-scoping tool for gauges that hot paths
-     * hold handles to (`snowplow.cache_hit_ratio`), where unregister
-     * would either dangle the handle or force a registry lookup per
-     * update.
-     */
-    size_t resetGaugesWithPrefix(const std::string &prefix);
-
-    /**
-     * Zero every counter whose name starts with `prefix` (cached
-     * handles stay valid), returning how many were reset. Campaign
-     * scoping for counters hot paths hold handles to (`covmap.*`,
-     * `snowplow.cache.*`), which would otherwise accumulate across
-     * back-to-back campaigns in one process.
-     */
-    size_t resetCountersWithPrefix(const std::string &prefix);
-
-    /**
-     * Drop the contents of every histogram whose name starts with
-     * `prefix` (cached handles stay valid), returning how many were
-     * reset. The histogram analog of resetCountersWithPrefix: without
-     * it, back-to-back campaigns in one process bleed latency
-     * distributions (`exec.restore_us`, `nn.gemm_us`) into each
-     * other's timelines.
-     */
-    size_t resetDistributionsWithPrefix(const std::string &prefix);
-
   private:
-    /** gauge() without taking mu_ (callers hold it). */
-    Gauge &gaugeLocked(const std::string &name);
-
+    Registry *const parent_ = nullptr;
     mutable std::mutex mu_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;

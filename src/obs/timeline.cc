@@ -10,26 +10,6 @@ namespace sp::obs {
 
 namespace {
 
-/** Registry handles for the timeline metrics (looked up once). */
-struct TimelineMetrics
-{
-    Counter &samples;
-    Gauge &ring_size;
-    Histogram &sample_us;
-
-    static TimelineMetrics &
-    get()
-    {
-        auto &reg = Registry::global();
-        static TimelineMetrics metrics{
-            reg.counter("timeline.samples"),
-            reg.gauge("timeline.ring_size"),
-            reg.histogram("timeline.sample_us"),
-        };
-        return metrics;
-    }
-};
-
 /** JSON number literal; non-finite values (empty-stat min/max) -> 0. */
 std::string
 jsonNumber(double v)
@@ -41,15 +21,32 @@ jsonNumber(double v)
     return buf;
 }
 
-/** `value - base`, clamped at 0: a prefix reset between the baseline
- *  capture and the sample must read as "this campaign's count". */
-uint64_t
-relValue(uint64_t value, const std::map<std::string, uint64_t> &base,
-         const std::string &name)
+/** Snapshot `metrics` into `sample`: non-zero counters and gauges,
+ *  histograms with at least one observation (moments only). */
+void
+sampleRegistry(const Registry &metrics, TimelineSample &sample)
 {
-    const auto it = base.find(name);
-    const uint64_t b = it == base.end() ? 0 : it->second;
-    return value >= b ? value - b : value;
+    metrics.visit(
+        [&sample](const std::string &name, const Counter &counter) {
+            if (counter.value() != 0)
+                sample.counters[name] = counter.value();
+        },
+        [&sample](const std::string &name, const Gauge &gauge) {
+            const double v = gauge.value();
+            if (v != 0.0)
+                sample.gauges[name] = v;
+        },
+        [&sample](const std::string &name, const Histogram &hist) {
+            const RunningStat stat = hist.stat();
+            if (stat.count() == 0)
+                return;
+            TimelineHist h;
+            h.count = stat.count();
+            h.mean = stat.mean();
+            h.min = stat.min();
+            h.max = stat.max();
+            sample.hists[name] = h;
+        });
 }
 
 /** `"execs":..,"edges":..` — the tick's core campaign facts. */
@@ -89,40 +86,7 @@ appendCov(std::string &out, const TimelineTick &tick)
 
 }  // namespace
 
-TimelineRecorder::TimelineRecorder(TimelineOptions opts)
-    : opts_(opts),
-      registry_(opts.registry != nullptr ? *opts.registry
-                                         : Registry::global())
-{
-    // Whatever previous campaigns in this process accumulated is the
-    // zero point: artifacts describe one campaign, not the process.
-    captureBaselinesLocked();
-}
-
-void
-TimelineRecorder::captureBaselinesLocked()
-{
-    baseline_counters_.clear();
-    baseline_hist_counts_.clear();
-    registry_.visit(
-        [this](const std::string &name, const Counter &counter) {
-            if (counter.value() != 0)
-                baseline_counters_[name] = counter.value();
-        },
-        nullptr,
-        [this](const std::string &name, const Histogram &hist) {
-            const uint64_t count = hist.count();
-            if (count != 0)
-                baseline_hist_counts_[name] = count;
-        });
-}
-
-void
-TimelineRecorder::rebaseline()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    captureBaselinesLocked();
-}
+TimelineRecorder::TimelineRecorder(TimelineOptions opts) : opts_(opts) {}
 
 TimelineRecorder::~TimelineRecorder()
 {
@@ -155,38 +119,6 @@ TimelineRecorder::openLog(const std::string &path,
     header += "}\n";
     std::fwrite(header.data(), 1, header.size(), log_);
     return true;
-}
-
-void
-TimelineRecorder::sampleRegistry(TimelineSample &sample) const
-{
-    registry_.visit(
-        [this, &sample](const std::string &name,
-                        const Counter &counter) {
-            const uint64_t rel =
-                relValue(counter.value(), baseline_counters_, name);
-            if (rel != 0)
-                sample.counters[name] = rel;
-        },
-        [&sample](const std::string &name, const Gauge &gauge) {
-            const double v = gauge.value();
-            if (v != 0.0)
-                sample.gauges[name] = v;
-        },
-        [this, &sample](const std::string &name,
-                        const Histogram &hist) {
-            const RunningStat stat = hist.stat();
-            const uint64_t rel =
-                relValue(stat.count(), baseline_hist_counts_, name);
-            if (rel == 0)
-                return;
-            TimelineHist h;
-            h.count = rel;
-            h.mean = stat.mean();
-            h.min = stat.min();
-            h.max = stat.max();
-            sample.hists[name] = h;
-        });
 }
 
 void
@@ -300,18 +232,18 @@ TimelineRecorder::writeSampleLine(const TimelineSample &sample)
 }
 
 void
-TimelineRecorder::pushLocked(TimelineSample sample)
+TimelineRecorder::pushLocked(TimelineSample sample, Registry &metrics)
 {
     ring_.push_back(std::move(sample));
     while (opts_.ring_capacity > 0 && ring_.size() > opts_.ring_capacity)
         ring_.pop_front();
     ++total_samples_;
-    TimelineMetrics::get().ring_size.set(
-        static_cast<double>(ring_.size()));
+    metrics.gauge("timeline.ring_size")
+        .set(static_cast<double>(ring_.size()));
 }
 
 void
-TimelineRecorder::onCheckpoint(const TimelineTick &tick)
+TimelineRecorder::onCheckpoint(const TimelineTick &tick, Registry &metrics)
 {
     const bool timed = timingEnabled();
     const uint64_t start_us = timed ? monotonicMicros() : 0;
@@ -319,32 +251,32 @@ TimelineRecorder::onCheckpoint(const TimelineTick &tick)
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_)
         return;
-    TimelineMetrics::get().samples.inc();
+    metrics.counter("timeline.samples").inc();
     TimelineSample sample;
     sample.tick = tick;
-    sampleRegistry(sample);
+    sampleRegistry(metrics, sample);
     if (timed) {
         sample.wall_us = monotonicMicros() - start_us;
-        TimelineMetrics::get().sample_us.record(
-            static_cast<double>(sample.wall_us));
+        metrics.histogram("timeline.sample_us")
+            .record(static_cast<double>(sample.wall_us));
     }
     writeSampleLine(sample);
-    pushLocked(std::move(sample));
+    pushLocked(std::move(sample), metrics);
 }
 
 void
-TimelineRecorder::finalize(const TimelineTick &tick)
+TimelineRecorder::finalize(const TimelineTick &tick, Registry &metrics)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_)
         return;
     finalized_ = true;
 
-    TimelineMetrics::get().samples.inc();
+    metrics.counter("timeline.samples").inc();
     TimelineSample sample;
     sample.tick = tick;
-    sampleRegistry(sample);
-    pushLocked(sample);
+    sampleRegistry(metrics, sample);
+    pushLocked(sample, metrics);
 
     if (log_ == nullptr)
         return;
@@ -392,19 +324,16 @@ TimelineRecorder::finalize(const TimelineTick &tick)
     }
     line += "},\"hists\":{";
     first = true;
-    registry_.visit(
+    metrics.visit(
         nullptr, nullptr,
-        [this, &line, &first](const std::string &name,
-                              const Histogram &hist) {
+        [&line, &first](const std::string &name, const Histogram &hist) {
             const HistogramSnapshot snap = hist.snapshot();
-            const uint64_t rel = relValue(snap.stat.count(),
-                                          baseline_hist_counts_, name);
-            if (rel == 0)
+            if (snap.stat.count() == 0)
                 return;
             line += (first ? "" : ",");
             line += jsonQuote(name);
             line += ":{\"count\":";
-            line += std::to_string(rel);
+            line += std::to_string(snap.stat.count());
             line += ",\"mean\":";
             line += jsonNumber(snap.stat.mean());
             line += ",\"min\":";

@@ -11,10 +11,13 @@
  *
  *  - the serialized checkpoint owner (the same context that merges
  *    CovShards and Thompson posteriors, see fuzz/campaign.cc) hands the
- *    recorder one TimelineTick per virtual-time grid boundary; the
- *    recorder samples the full registry (counters, gauges, cheap
- *    histogram moments) under that serialization, so samples land
- *    exactly on the grid regardless of worker count;
+ *    recorder one TimelineTick per virtual-time grid boundary together
+ *    with the campaign's own registry; the recorder samples that whole
+ *    registry (counters, gauges, cheap histogram moments) under that
+ *    serialization, so samples land exactly on the grid regardless of
+ *    worker count and describe this campaign alone — process-scoped
+ *    families (inference, nn, the learned localizer) live in the
+ *    global registry and never appear;
  *  - virtual time is the clock: a `--workers 1` campaign with no
  *    telemetry sink produces a bit-identical JSONL artifact run over
  *    run (every wall-clock-derived metric is timingEnabled()-gated, and
@@ -98,8 +101,7 @@ struct TimelineHist
 struct TimelineSample
 {
     TimelineTick tick;
-    /** Counter values relative to the recorder's baseline (campaign-
-     *  cumulative), non-zero entries only. */
+    /** Counter values (campaign-cumulative), non-zero entries only. */
     std::map<std::string, uint64_t> counters;
     /** Non-zero gauge values (absolute). */
     std::map<std::string, double> gauges;
@@ -114,8 +116,6 @@ struct TimelineOptions
 {
     /** Samples retained in memory for /timeline and flight records. */
     size_t ring_capacity = 128;
-    /** Registry to sample; null = Registry::global(). */
-    Registry *registry = nullptr;
 };
 
 /**
@@ -146,22 +146,12 @@ class TimelineRecorder
                  const std::string &extra_header_json = "");
 
     /**
-     * Recapture the counter/histogram-count baselines from the live
-     * registry. CampaignEngine::run() calls this right after its
-     * campaign-start metric resets: counters the campaign zeroes
-     * rebaseline to 0 (their raw value IS the campaign count), while
-     * untouched process-lifetime counters keep being subtracted out.
-     * Without this, a counter that climbs back to its construction-
-     * time value would ambiguously read as 0.
-     */
-    void rebaseline();
-
-    /**
-     * Record one sample on the virtual-time grid: snapshot the
-     * registry, push the ring, append one `timeline_sample` line to
+     * Record one sample on the virtual-time grid: snapshot `metrics`
+     * (the campaign's registry, which also receives the `timeline.*`
+     * metrics), push the ring, append one `timeline_sample` line to
      * the artifact. Serialized-owner only; no-op once finalized.
      */
-    void onCheckpoint(const TimelineTick &tick);
+    void onCheckpoint(const TimelineTick &tick, Registry &metrics);
 
     /**
      * Final sample + `timeline_final` line (cumulative counters, full
@@ -169,7 +159,7 @@ class TimelineRecorder
      * Histogram::snapshot() runs) + log close. Idempotent; safe
      * without an open log (the ring still gets the final sample).
      */
-    void finalize(const TimelineTick &tick);
+    void finalize(const TimelineTick &tick, Registry &metrics);
 
     /** Samples recorded so far (including the final one). */
     size_t sampleCount() const;
@@ -186,24 +176,12 @@ class TimelineRecorder
     std::string recentJson(size_t max_samples = 16) const;
 
   private:
-    /** Re-read the baseline maps from the registry; caller holds mu_
-     *  (or is the constructor). */
-    void captureBaselinesLocked();
-    /** Snapshot the registry into `sample` (counters rel. baseline). */
-    void sampleRegistry(TimelineSample &sample) const;
     /** Append one delta-encoded sample line; caller holds mu_. */
     void writeSampleLine(const TimelineSample &sample);
     /** Ring push with eviction; caller holds mu_. */
-    void pushLocked(TimelineSample sample);
+    void pushLocked(TimelineSample sample, Registry &metrics);
 
     const TimelineOptions opts_;
-    Registry &registry_;
-
-    /** Counter / histogram-count values at construction: everything a
-     *  previous campaign in this process accumulated is subtracted out
-     *  so artifacts of back-to-back runs are comparable. */
-    std::map<std::string, uint64_t> baseline_counters_;
-    std::map<std::string, uint64_t> baseline_hist_counts_;
 
     mutable std::mutex mu_;
     std::deque<TimelineSample> ring_;

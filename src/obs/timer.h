@@ -2,14 +2,16 @@
  * @file
  * RAII timed spans feeding registry histograms.
  *
- *     void Executor::run(...) {
- *         SP_TIMED("exec.run_us");
+ *     Tensor matmul(...) {
+ *         SP_TIMED("nn.gemm_us");
  *         ...
  *     }
  *
  * records the span's wall duration (microseconds, steady clock) into
  * the global histogram of that name on scope exit. The histogram lookup
- * happens once per call site (function-local static); when
+ * happens once per call site (function-local static), so SP_TIMED is
+ * for process-scoped metrics; campaign-owned sites hold a handle into
+ * their campaign's registry and time with ScopedTimer directly. When
  * obs::timingEnabled() is false the span skips both clock reads, so an
  * uninstrumented run pays one relaxed atomic load per span.
  */

@@ -57,18 +57,19 @@ TEST(CovProfile, LogRoundTripMatchesMergedMap)
     auto plan = obs::CovMapPlan::build(
         6, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 5}, {1, 4}});
     obs::CovMap map(std::move(plan), /*workers=*/2);
+    obs::Registry metrics;
 
     const std::string path = tempPath("roundtrip");
     ASSERT_TRUE(map.openLog(path, "\"kernel\":{\"seed\":6}"));
 
     map.shard(0).recordTrace({0, 1, 3, 5});
     map.shard(1).recordTrace({0, 2, 3, 5});
-    map.onCheckpoint(250);
+    map.onCheckpoint(250, metrics);
     map.shard(0).recordTrace({0, 1, 3, 5});
     map.shard(0).recordTrace({5, 0});  // one stray transition
-    map.onCheckpoint(500);
+    map.onCheckpoint(500, metrics);
     map.shard(1).recordTrace({0, 1, 3, 5});
-    map.finalize(600);
+    map.finalize(600, metrics);
 
     auto profile = CovProfile::load(path);
     ASSERT_TRUE(profile.ok()) << profile.error;
@@ -179,8 +180,7 @@ runProfiledCampaign(uint64_t seed, uint64_t budget)
     fuzz::CampaignEngine engine(kernel, opts, [](size_t) {
         return std::make_unique<mut::RandomLocalizer>();
     });
-    auto report = engine.run();
-    map.finalize(report.execs);
+    engine.run();  // finalizes the covmap log
     return path;
 }
 

@@ -2,7 +2,7 @@
 // ledger, per-worker RNG stream splitting, the sharded corpus under
 // concurrency, and the campaign engine itself (1-worker determinism,
 // the multi-worker checkpoint grid, lane accounting, the mutation
-// observer's contract, the scheduler seam).
+// observer's contract, the scheduler seam, campaign-owned metrics).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,8 @@
 #include "core/snowplow.h"
 #include "fuzz/campaign.h"
 #include "kernel/subsystems.h"
+#include "obs/covmap.h"
+#include "obs/metrics.h"
 #include "prog/gen.h"
 
 namespace sp::fuzz {
@@ -370,6 +372,51 @@ TEST(CampaignEngine, SchedulerSeamIsHonored)
     const auto report = engine->run();
     EXPECT_GT(scheduler->picks.load(), 10u);
     EXPECT_EQ(report.execs, campaign_opts.fuzz.exec_budget);
+}
+
+TEST(CampaignEngine, ConcurrentCampaignsCountIntoTheirOwnMetrics)
+{
+    // Two campaigns on two threads (a fleet node's concurrent leases,
+    // run under TSan in CI): each registry counts its own campaign
+    // exactly while the global registry sees both.
+    const auto &kernel = testKernel();
+    const obs::Counter &global_execs =
+        obs::Registry::global().counter("fuzz.execs");
+    const uint64_t global_before = global_execs.value();
+
+    struct Run
+    {
+        std::unique_ptr<obs::CovMap> covmap;
+        std::unique_ptr<CampaignEngine> engine;
+        FuzzReport report;
+    };
+    Run runs[2];
+    for (size_t i = 0; i < 2; ++i) {
+        runs[i].covmap = std::make_unique<obs::CovMap>(
+            obs::CovMapPlan::build(kernel.blocks().size(),
+                                   kernel.staticEdges()),
+            1);
+        CampaignOptions campaign_opts;
+        campaign_opts.fuzz = smallCampaign(40 + i);
+        campaign_opts.fuzz.exec_budget = 1500 + 500 * i;
+        campaign_opts.fuzz.covmap = runs[i].covmap.get();
+        runs[i].engine = core::makeSyzkallerCampaign(kernel, campaign_opts);
+    }
+    std::thread other([&runs] { runs[1].report = runs[1].engine->run(); });
+    runs[0].report = runs[0].engine->run();
+    other.join();
+
+    uint64_t total = 0;
+    for (Run &run : runs) {
+        obs::Registry &metrics = run.engine->metrics();
+        EXPECT_EQ(metrics.counter("fuzz.execs").value(), run.report.execs);
+        // One window per checkpoint plus the run's final one.
+        EXPECT_EQ(metrics.counter("covmap.windows").value(),
+                  run.report.timeline.size() + 1);
+        total += run.report.execs;
+    }
+    EXPECT_NE(runs[0].report.execs, runs[1].report.execs);
+    EXPECT_EQ(global_execs.value() - global_before, total);
 }
 
 }  // namespace

@@ -183,8 +183,9 @@ TEST(Frontier, RanksByGuardHitsThenTargetId)
 TEST(CovMap, SummaryAndJsonReflectMerges)
 {
     CovMap map(diamondPlan(), 1);
+    Registry metrics;
     map.shard(0).recordTrace({0, 1, 3, 5});
-    map.onCheckpoint(/*execs=*/100);
+    map.onCheckpoint(/*execs=*/100, metrics);
 
     auto summary = map.summary();
     EXPECT_EQ(summary.execs, 100u);
@@ -204,9 +205,10 @@ TEST(CovMap, SummaryAndJsonReflectMerges)
 
     EXPECT_GT(map.residentBytes(), 0u);
 
-    map.finalize(150);
-    map.finalize(150);  // idempotent
+    map.finalize(150, metrics);
+    map.finalize(150, metrics);  // idempotent
     EXPECT_EQ(map.summary().windows, 2u);
+    EXPECT_EQ(metrics.counter("covmap.windows").value(), 2u);
 }
 
 TEST(CovMap, RecordAndMergeAreRaceFree)
@@ -215,6 +217,7 @@ TEST(CovMap, RecordAndMergeAreRaceFree)
     // owner" merges repeatedly. Run under TSan this exercises the
     // relaxed single-writer / merge-reader contract.
     CovMap map(diamondPlan(), 3);
+    Registry metrics;
     std::vector<std::thread> writers;
     for (size_t w = 0; w < 3; ++w) {
         writers.emplace_back([&map, w] {
@@ -224,10 +227,10 @@ TEST(CovMap, RecordAndMergeAreRaceFree)
         });
     }
     for (int merge = 1; merge <= 20; ++merge)
-        map.onCheckpoint(static_cast<uint64_t>(merge) * 100);
+        map.onCheckpoint(static_cast<uint64_t>(merge) * 100, metrics);
     for (auto &t : writers)
         t.join();
-    map.finalize(3000);
+    map.finalize(3000, metrics);
 
     const auto blocks = map.mergedBlockHits();
     EXPECT_EQ(blocks[0], 6000u);
@@ -262,8 +265,7 @@ campaignBlockHits(size_t workers, uint64_t seed)
     auto opts = smallCampaign(workers, seed);
     opts.fuzz.covmap = &map;
     fuzz::CampaignEngine engine(kernel, opts, randomLocalizers());
-    auto report = engine.run();
-    map.finalize(report.execs);
+    engine.run();  // finalizes the covmap
     EXPECT_GT(map.summary().windows, 1u);
     return map.mergedBlockHits();
 }
@@ -286,17 +288,24 @@ TEST(CovMapCampaign, AccumulatesHitsAndIsRepeatableSingleWorker)
     EXPECT_LT(reached, a.size());  // a short run can't reach everything
 }
 
-TEST(CovMapCampaign, ResetsCovmapCountersBetweenCampaigns)
+TEST(CovMapCampaign, CovmapCountersCountOneCampaign)
 {
-    // A second campaign in the same process must not inherit the
-    // first's covmap.* counters (CampaignEngine::run metric hygiene).
-    campaignBlockHits(1, 21);
-    const auto first = Registry::global().counter("covmap.windows").value();
-    EXPECT_GT(first, 0u);
-    campaignBlockHits(1, 22);
-    const auto second =
-        Registry::global().counter("covmap.windows").value();
-    EXPECT_LE(second, first + 1);  // reset, then re-accumulated
+    // Back-to-back campaigns in one process: each campaign's registry
+    // holds exactly its own covmap.* counts, nothing from the first.
+    const auto &kernel = testKernel();
+    for (const uint64_t seed : {21, 22}) {
+        CovMap map(CovMapPlan::build(kernel.blocks().size(),
+                                     kernel.staticEdges()),
+                   1);
+        auto opts = smallCampaign(1, seed);
+        opts.fuzz.covmap = &map;
+        fuzz::CampaignEngine engine(kernel, opts, randomLocalizers());
+        engine.run();
+        // Six grid windows plus the run's final one.
+        EXPECT_EQ(map.summary().windows, 7u);
+        EXPECT_EQ(engine.metrics().counter("covmap.windows").value(),
+                  map.summary().windows);
+    }
 }
 
 /** Minimal HTTP GET against 127.0.0.1:port; returns the raw reply. */
@@ -333,8 +342,9 @@ TEST(CoverageEndpoint, ServesProviderJsonAndDisabledDefault)
     EXPECT_EQ(coverageJson(), "{\"enabled\":false}");
 
     CovMap map(diamondPlan(), 1);
+    Registry metrics;
     map.shard(0).recordTrace({0, 1, 3, 5});
-    map.onCheckpoint(42);
+    map.onCheckpoint(42, metrics);
     setCoverageProvider([&map] { return map.summaryJson(); });
 
     StatusServer server(0);

@@ -4,7 +4,8 @@
  * oversized lengths, CRC mismatches, version skew), bound-port
  * reporting, lease-grid merge invariants (node-count and arrival-order
  * independence), coordinator+node in-process drains, lease re-issue
- * after a mid-campaign node death, and fleet-wide crash dedup.
+ * after a mid-campaign node death, fleet-wide crash dedup, and the
+ * validation of program texts crossing the wire.
  */
 #include <sys/socket.h>
 #include <unistd.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "data/format.h"
+#include "data/store.h"
 #include "fleet/aggregate.h"
 #include "fleet/coordinator.h"
 #include "fleet/node.h"
@@ -26,6 +28,7 @@
 #include "obs/statusd.h"
 #include "prog/gen.h"
 #include "prog/serialize.h"
+#include "prog/validate.h"
 #include "util/rng.h"
 
 #include "gtest/gtest.h"
@@ -540,6 +543,165 @@ TEST(FleetAggregateTest, MergeRejectsHostileIndices)
     for (const uint64_t hits : aggregate.blockHits())
         total += hits;
     EXPECT_EQ(total, 0u);
+}
+
+/** Bump the first Len field under `arg`; false when it has none. */
+bool
+bumpFirstLen(prog::Arg &arg)
+{
+    if (arg.type->kind == prog::TypeKind::Len) {
+        ++arg.scalar;
+        return true;
+    }
+    if (arg.pointee != nullptr && bumpFirstLen(*arg.pointee))
+        return true;
+    for (prog::ArgPtr &field : arg.fields) {
+        if (bumpFirstLen(*field))
+            return true;
+    }
+    return false;
+}
+
+/** A program text that parses but fails validation: a generated
+ *  program with a Len field one larger than its buffer. */
+std::string
+bumpedLenText(const kern::Kernel &kernel)
+{
+    Rng rng(11);
+    for (int attempt = 0; attempt < 1000; ++attempt) {
+        prog::Prog program = prog::generateProg(rng, kernel.table());
+        for (prog::Call &call : program.calls) {
+            for (prog::ArgPtr &arg : call.args) {
+                if (!bumpFirstLen(*arg))
+                    continue;
+                const std::string text = prog::formatProg(program);
+                auto parsed = prog::parseProg(text, kernel.table());
+                if (parsed.ok() && prog::validateProg(*parsed.prog))
+                    return text;
+            }
+        }
+    }
+    ADD_FAILURE() << "no generated program has a checkable Len field";
+    return "";
+}
+
+/**
+ * Play the coordinator for one node over loopback: hand it one lease
+ * of `count` slots seeded with `batch` and return its LeaseResult.
+ */
+LeaseResultMsg
+runOneLease(const kern::Kernel &kernel,
+            const std::vector<std::string> &batch, uint64_t count,
+            const HelloAckMsg &cfg)
+{
+    obs::TcpListener listener(0);
+    NodeStats stats;
+    std::thread node_thread([&] {
+        NodeOptions node;
+        node.port = listener.port();
+        node.name = "probe";
+        node.max_leases = 1;
+        stats = runNode(node);
+    });
+
+    HelloAckMsg ack = cfg;
+    ack.kernel_version = kernel.version();
+    ack.kernel_fingerprint = data::kernelFingerprint(kernel);
+    LeaseGrantMsg grant;
+    grant.lease_id = 1;
+    grant.count = count;
+    grant.node_seed = 7;
+    grant.batch = batch;
+    ResultAckMsg result_ack;
+    result_ack.accepted = 1;
+
+    LeaseResultMsg result;
+    Frame frame;
+    const int fd = listener.acceptConnection();
+    const bool served =
+        fd >= 0 && recvFrame(fd, &frame) == RecvStatus::Ok &&
+        frame.type == MsgType::Hello &&
+        sendFrame(fd, MsgType::HelloAck, ack.encode()) &&
+        recvFrame(fd, &frame) == RecvStatus::Ok &&
+        frame.type == MsgType::LeaseRequest &&
+        sendFrame(fd, MsgType::LeaseGrant, grant.encode()) &&
+        recvFrame(fd, &frame) == RecvStatus::Ok &&
+        frame.type == MsgType::LeaseResult &&
+        result.decode(frame.payload) &&
+        sendFrame(fd, MsgType::ResultAck, result_ack.encode()) &&
+        recvFrame(fd, &frame) == RecvStatus::Ok &&
+        frame.type == MsgType::Bye;
+    if (fd >= 0)
+        ::close(fd);
+    node_thread.join();
+    EXPECT_TRUE(served);
+    EXPECT_TRUE(stats.error.empty()) << stats.error;
+    return result;
+}
+
+TEST(FleetTrust, NodeDropsSeedBatchProgramsThatFailValidation)
+{
+    const kern::Kernel kernel = testKernel();
+    Rng rng(5);
+    const std::string valid =
+        prog::formatProg(prog::generateProg(rng, kernel.table()));
+    ASSERT_TRUE(prog::parseProg(valid, kernel.table()).ok());
+    const std::string bumped = bumpedLenText(kernel);
+    ASSERT_FALSE(bumped.empty());
+
+    // A one-slot lease runs exactly its seed stage: the injected seeds
+    // plus the generated exploration floor. The bumped text must not
+    // be among the injected ones.
+    HelloAckMsg cfg;
+    cfg.covmap = 0;
+    const LeaseResultMsg result =
+        runOneLease(kernel, {valid, bumped}, 1, cfg);
+    EXPECT_EQ(result.execs, 1u + cfg.lease_gen_seeds);
+}
+
+TEST(FleetTrust, AggregateDropsCrashTriggersThatFailValidation)
+{
+    const kern::Kernel kernel = testKernel();
+    ASSERT_FALSE(kernel.bugs().empty());
+    const std::string bumped = bumpedLenText(kernel);
+    ASSERT_FALSE(bumped.empty());
+
+    FleetAggregate aggregate(kernel, false);
+    LeaseResultMsg msg;
+    msg.lease_id = 1;
+    WireCrash crash;
+    crash.bug_index = 0;
+    crash.slot = 5;
+    crash.trigger = bumped;
+    msg.crashes.push_back(crash);
+    EXPECT_EQ(aggregate.merge(msg).new_crashes, 0u);
+    EXPECT_EQ(aggregate.uniqueCrashes(), 0u);
+
+    // The same report with a valid trigger is recorded.
+    Rng rng(5);
+    msg.crashes[0].trigger =
+        prog::formatProg(prog::generateProg(rng, kernel.table()));
+    EXPECT_EQ(aggregate.merge(msg).new_crashes, 1u);
+}
+
+TEST(FleetTrust, NodeDoesNotEchoItsSeedBatch)
+{
+    const kern::Kernel kernel = testKernel();
+    Rng rng(9);
+    std::vector<std::string> batch;
+    for (const prog::Prog &program :
+         prog::generateCorpus(rng, kernel.table(), 6))
+        batch.push_back(prog::formatProg(program));
+
+    HelloAckMsg cfg;
+    cfg.covmap = 0;
+    const LeaseResultMsg result = runOneLease(kernel, batch, 300, cfg);
+    ASSERT_FALSE(result.programs.empty());
+    for (const WireProgram &program : result.programs) {
+        EXPECT_EQ(std::find(batch.begin(), batch.end(), program.text),
+                  batch.end())
+            << "echoed batch program:\n" << program.text;
+    }
 }
 
 TEST(FleetFabric, TwoNodesDrainTheBudgetInProcess)

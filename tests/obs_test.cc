@@ -1,6 +1,6 @@
 // Unit tests for src/obs: counter/gauge/histogram semantics, concurrent
-// increments, snapshotJson round-trip, the SP_TIMED span macro, and the
-// JSONL telemetry sink's event format.
+// increments, snapshotJson round-trip, child-registry write-through, the
+// SP_TIMED span macro, and the JSONL telemetry sink's event format.
 
 #include <gtest/gtest.h>
 
@@ -20,15 +20,13 @@
 namespace sp::obs {
 namespace {
 
-TEST(Counter, IncrementAndReset)
+TEST(Counter, Increment)
 {
     Counter c;
     EXPECT_EQ(c.value(), 0u);
     c.inc();
     c.inc(41);
     EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Gauge, LastWriteWins)
@@ -53,8 +51,6 @@ TEST(Histogram, MomentsAndPercentiles)
     EXPECT_DOUBLE_EQ(snap.stat.max(), 100.0);
     EXPECT_DOUBLE_EQ(snap.samples.percentile(50), 50.0);
     EXPECT_DOUBLE_EQ(snap.samples.percentile(99), 99.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
 }
 
 TEST(Histogram, ReservoirKeepsCountExactPastCap)
@@ -148,16 +144,42 @@ TEST(Registry, SnapshotJsonRoundTrip)
     EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
 }
 
-TEST(Registry, ResetZeroesEverything)
+TEST(Registry, ChildWritesThroughToParent)
 {
-    Registry reg;
-    reg.counter("a").inc(3);
-    reg.gauge("b").set(4.0);
-    reg.histogram("c").record(5.0);
-    reg.reset();
-    EXPECT_EQ(reg.counter("a").value(), 0u);
-    EXPECT_EQ(reg.gauge("b").value(), 0.0);
-    EXPECT_EQ(reg.histogram("c").count(), 0u);
+    Registry parent;
+    parent.counter("shared.count").inc(10);  // a previous campaign
+    parent.counter("parent.only").inc(1);
+    Registry child(parent);
+
+    child.counter("shared.count").inc(3);
+    child.gauge("shared.level").set(2.5);
+    child.histogram("shared.lat_us").record(4.0);
+    child.histogram("shared.lat_us").record(6.0);
+
+    // The child counts only its own writes; the parent sees them too.
+    EXPECT_EQ(child.counter("shared.count").value(), 3u);
+    EXPECT_EQ(parent.counter("shared.count").value(), 13u);
+    EXPECT_EQ(parent.gauge("shared.level").value(), 2.5);
+    EXPECT_EQ(child.histogram("shared.lat_us").count(), 2u);
+    EXPECT_EQ(parent.histogram("shared.lat_us").count(), 2u);
+    EXPECT_DOUBLE_EQ(parent.histogram("shared.lat_us").stat().mean(), 5.0);
+
+    // A parent-only metric never shows in the child.
+    std::vector<std::string> names;
+    child.visit(
+        [&](const std::string &name, const Counter &) {
+            names.push_back(name);
+        },
+        [&](const std::string &name, const Gauge &) {
+            names.push_back(name);
+        },
+        [&](const std::string &name, const Histogram &) {
+            names.push_back(name);
+        });
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "shared.count", "shared.level", "shared.lat_us"}));
+    EXPECT_EQ(child.snapshotJson().find("parent.only"), std::string::npos);
+    EXPECT_NE(parent.snapshotJson().find("parent.only"), std::string::npos);
 }
 
 TEST(ScopedTimer, RecordsOnlyWhenTimingEnabled)
@@ -181,13 +203,13 @@ TEST(ScopedTimer, SpTimedMacroFeedsGlobalRegistry)
 {
     Histogram &hist =
         Registry::global().histogram("obs_test.sp_timed_us");
-    hist.reset();
+    const uint64_t before = hist.count();
     setTimingEnabled(true);
     {
         SP_TIMED("obs_test.sp_timed_us");
     }
     setTimingEnabled(false);
-    EXPECT_EQ(hist.count(), 1u);
+    EXPECT_EQ(hist.count(), before + 1);
 }
 
 TEST(Field, EscapesStringsAndFormatsScalars)
@@ -330,67 +352,6 @@ TEST(Registry, VisitWalksAllMetricFamiliesSorted)
     EXPECT_EQ(gauges[0].find("mid.level=2.5"), 0u);
     ASSERT_EQ(hists.size(), 1u);
     EXPECT_EQ(hists[0], "lat.us#2");
-}
-
-TEST(Registry, UnregisterGaugesWithPrefixDropsOnlyMatches)
-{
-    Registry reg;
-    reg.gauge("run.worker.w0").set(1.0);
-    reg.gauge("run.worker.w1").set(1.0);
-    reg.gauge("run.workers_total").set(2.0);
-    reg.gauge("other.metric").set(3.0);
-    reg.unregisterGaugesWithPrefix("run.worker.w");
-
-    const std::string snapshot = reg.snapshotJson();
-    EXPECT_EQ(snapshot.find("run.worker.w0"), std::string::npos);
-    EXPECT_EQ(snapshot.find("run.worker.w1"), std::string::npos);
-    EXPECT_NE(snapshot.find("run.workers_total"), std::string::npos);
-    EXPECT_NE(snapshot.find("other.metric"), std::string::npos);
-    // Re-creating a dropped gauge starts fresh.
-    EXPECT_EQ(reg.gauge("run.worker.w0").value(), 0.0);
-}
-
-TEST(Registry, ResetGaugesWithPrefixZeroesInPlace)
-{
-    Registry reg;
-    Gauge &ratio = reg.gauge("cache.hit_ratio");
-    ratio.set(0.75);
-    reg.gauge("cache.depth").set(9.0);
-    reg.gauge("other.metric").set(3.0);
-    EXPECT_EQ(reg.resetGaugesWithPrefix("cache."), 2u);
-
-    // Names stay registered, so handles taken before the reset are
-    // still the live metric — the property the localizer hot path
-    // relies on.
-    EXPECT_EQ(ratio.value(), 0.0);
-    ratio.set(0.5);
-    EXPECT_EQ(reg.gauge("cache.hit_ratio").value(), 0.5);
-    EXPECT_EQ(reg.gauge("other.metric").value(), 3.0);
-    const std::string snapshot = reg.snapshotJson();
-    EXPECT_NE(snapshot.find("\"cache.depth\":0"), std::string::npos);
-    EXPECT_EQ(reg.resetGaugesWithPrefix("nope."), 0u);
-}
-
-TEST(Registry, ResetCountersWithPrefixZeroesInPlace)
-{
-    Registry reg;
-    Counter &windows = reg.counter("covmap.windows");
-    windows.inc(12);
-    reg.counter("covmap.stray_edges").inc(3);
-    reg.counter("other.events").inc(5);
-    EXPECT_EQ(reg.resetCountersWithPrefix("covmap."), 2u);
-
-    // Reset-in-place: handles taken before the reset stay live, which
-    // lets the campaign engine scrub covmap.* / snowplow.cache.*
-    // between runs without invalidating cached metric pointers.
-    EXPECT_EQ(windows.value(), 0u);
-    windows.inc(1);
-    EXPECT_EQ(reg.counter("covmap.windows").value(), 1u);
-    EXPECT_EQ(reg.counter("covmap.stray_edges").value(), 0u);
-    EXPECT_EQ(reg.counter("other.events").value(), 5u);
-    EXPECT_EQ(reg.resetCountersWithPrefix("nope."), 0u);
-    // The prefix scan must not spill past the matching range.
-    EXPECT_EQ(reg.resetCountersWithPrefix("covmap.z"), 0u);
 }
 
 TEST(Prometheus, RendersCountersGaugesAndSummaries)

@@ -1,5 +1,5 @@
-// Tests for the campaign timeline observatory: registry distribution
-// resets, TimelineRecorder sampling/ring/delta-encoded JSONL, workers=1
+// Tests for the campaign timeline observatory: TimelineRecorder
+// sampling/ring/delta-encoded JSONL, workers=1
 // artifact bit-reproducibility, merge-grid alignment under workers=4
 // (the TSan'd sampling/scrape contract), the /timeline endpoint, and
 // the differential compare half (A vs A ⇒ zero deltas; synthetic
@@ -87,25 +87,6 @@ tickAt(uint64_t execs, uint64_t edges = 0)
     return tick;
 }
 
-TEST(Metrics, ResetDistributionsWithPrefix)
-{
-    Registry reg;
-    reg.histogram("tlx.alpha_us").record(3.0);
-    reg.histogram("tlx.beta_us").record(4.0);
-    reg.histogram("other.gamma_us").record(5.0);
-
-    EXPECT_EQ(reg.resetDistributionsWithPrefix("tlx."), 2u);
-    EXPECT_EQ(reg.histogram("tlx.alpha_us").count(), 0u);
-    EXPECT_EQ(reg.histogram("tlx.beta_us").count(), 0u);
-    EXPECT_EQ(reg.histogram("other.gamma_us").count(), 1u);
-
-    // Reset-in-place: handles taken before the reset stay valid.
-    Histogram &alpha = reg.histogram("tlx.alpha_us");
-    reg.resetDistributionsWithPrefix("tlx.");
-    alpha.record(7.0);
-    EXPECT_EQ(alpha.count(), 1u);
-}
-
 TEST(Metrics, HistogramStatMatchesSnapshotMoments)
 {
     Registry reg;
@@ -119,43 +100,32 @@ TEST(Metrics, HistogramStatMatchesSnapshotMoments)
     EXPECT_DOUBLE_EQ(stat.max(), 10.0);
 }
 
-TEST(TimelineRecorder, RingIsBoundedAndCountersAreBaselined)
+TEST(TimelineRecorder, RingIsBounded)
 {
     Registry reg;
-    reg.counter("tlx.count").inc(5);  // pre-campaign noise
-
     TimelineOptions opts;
-    opts.registry = &reg;
     opts.ring_capacity = 4;
     TimelineRecorder recorder(opts);
 
-    for (uint64_t i = 1; i <= 10; ++i) {
-        if (i == 2)
-            reg.counter("tlx.count").inc(3);
-        recorder.onCheckpoint(tickAt(i * 100));
-    }
+    for (uint64_t i = 1; i <= 10; ++i)
+        recorder.onCheckpoint(tickAt(i * 100), reg);
     EXPECT_EQ(recorder.sampleCount(), 10u);
 
     const auto samples = recorder.samples();
     ASSERT_EQ(samples.size(), 4u);
     EXPECT_EQ(samples.front().tick.execs, 700u);
     EXPECT_EQ(samples.back().tick.execs, 1000u);
-    // The construction-time value of tlx.count is subtracted out; only
-    // the in-campaign increment shows (cumulative in every sample).
-    EXPECT_EQ(samples.back().counters.at("tlx.count"), 3u);
 }
 
 TEST(TimelineRecorder, FinalizeIsIdempotentAndStopsSampling)
 {
     Registry reg;
-    TimelineOptions opts;
-    opts.registry = &reg;
-    TimelineRecorder recorder(opts);
-    recorder.onCheckpoint(tickAt(100));
-    recorder.finalize(tickAt(200));
+    TimelineRecorder recorder;
+    recorder.onCheckpoint(tickAt(100), reg);
+    recorder.finalize(tickAt(200), reg);
     EXPECT_EQ(recorder.sampleCount(), 2u);
-    recorder.finalize(tickAt(300));
-    recorder.onCheckpoint(tickAt(400));
+    recorder.finalize(tickAt(300), reg);
+    recorder.onCheckpoint(tickAt(400), reg);
     EXPECT_EQ(recorder.sampleCount(), 2u);
     EXPECT_EQ(recorder.samples().back().tick.execs, 200u);
 }
@@ -163,11 +133,9 @@ TEST(TimelineRecorder, FinalizeIsIdempotentAndStopsSampling)
 TEST(TimelineRecorder, RecentJsonExposesTheWindow)
 {
     Registry reg;
-    TimelineOptions opts;
-    opts.registry = &reg;
-    TimelineRecorder recorder(opts);
-    recorder.onCheckpoint(tickAt(100, 7));
-    recorder.onCheckpoint(tickAt(200, 9));
+    TimelineRecorder recorder;
+    recorder.onCheckpoint(tickAt(100, 7), reg);
+    recorder.onCheckpoint(tickAt(200, 9), reg);
 
     const std::string json = recorder.recentJson(1);
     EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
@@ -181,16 +149,14 @@ TEST(TimelineRecorder, WritesDeltaEncodedArtifact)
 {
     const std::string path = "/tmp/sp_timeline_test_unit.jsonl";
     Registry reg;
-    TimelineOptions opts;
-    opts.registry = &reg;
-    TimelineRecorder recorder(opts);
+    TimelineRecorder recorder;
     ASSERT_TRUE(recorder.openLog(path, "\"campaign\":{\"seed\":7}"));
 
     reg.counter("tlx.count").inc(3);
-    recorder.onCheckpoint(tickAt(100, 5));
+    recorder.onCheckpoint(tickAt(100, 5), reg);
     reg.counter("tlx.count").inc(2);
-    recorder.onCheckpoint(tickAt(200, 6));
-    recorder.finalize(tickAt(300, 7));
+    recorder.onCheckpoint(tickAt(200, 6), reg);
+    recorder.finalize(tickAt(300, 7), reg);
 
     std::ifstream in(path);
     std::vector<std::string> lines;
@@ -225,15 +191,7 @@ runArtifact(const std::string &path, uint64_t seed, size_t workers)
     EXPECT_TRUE(recorder.openLog(path));
     opts.fuzz.timeline = &recorder;
     fuzz::CampaignEngine engine(kernel, opts, randomLocalizers());
-    auto report = engine.run();
-    map.finalize(report.execs);
-    fuzz::Checkpoint fin;
-    fin.execs = report.execs;
-    fin.edges = report.final_edges;
-    fin.blocks = report.final_blocks;
-    fin.crashes = report.final_crashes;
-    recorder.finalize(fuzz::makeTimelineTick(
-        fin, report.corpus_size, &map, engine.policy()));
+    engine.run();  // finalizes the covmap, then the artifact
     return readFile(path);
 }
 
@@ -263,10 +221,13 @@ TEST(TimelineCampaign, SamplesLandOnTheCheckpointGridUnderWorkers)
     fuzz::CampaignEngine engine(kernel, opts, randomLocalizers());
     auto report = engine.run();
 
+    // One sample per checkpoint, then the run's final record.
     const auto samples = recorder.samples();
-    ASSERT_EQ(samples.size(), report.timeline.size());
-    ASSERT_GT(samples.size(), 1u);
-    for (size_t i = 0; i < samples.size(); ++i) {
+    ASSERT_EQ(samples.size(), report.timeline.size() + 1);
+    ASSERT_GT(samples.size(), 2u);
+    EXPECT_EQ(samples.back().tick.execs, report.execs);
+    EXPECT_EQ(samples.back().tick.edges, report.final_edges);
+    for (size_t i = 0; i < report.timeline.size(); ++i) {
         EXPECT_EQ(samples[i].tick.execs, report.timeline[i].execs);
         EXPECT_EQ(samples[i].tick.execs % 250, 0u);
         EXPECT_EQ(samples[i].tick.edges, report.timeline[i].edges);
