@@ -456,10 +456,9 @@ cmdFuzz(const Args &args)
                     args.get("timeline-out", "").c_str());
     }
     if (!directed_targets.empty()) {
-        const auto &coverage = engine->corpus().totalCoverage();
         size_t reached = 0;
         for (const uint32_t block : directed_targets)
-            reached += coverage.containsBlock(block);
+            reached += engine->corpus().coversBlock(block);
         std::printf("directed: reached %zu/%zu targets\n", reached,
                     directed_targets.size());
     }

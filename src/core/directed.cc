@@ -120,10 +120,9 @@ bool
 coversAll(const fuzz::Corpus &corpus,
           const std::vector<uint32_t> &targets)
 {
-    const auto &coverage = corpus.totalCoverage();
     return std::all_of(targets.begin(), targets.end(),
-                       [&coverage](uint32_t target) {
-                           return coverage.containsBlock(target);
+                       [&corpus](uint32_t target) {
+                           return corpus.coversBlock(target);
                        });
 }
 
@@ -191,9 +190,8 @@ runSnowplowD(const kern::Kernel &kernel, const Pmm &model,
 
     MultiDirectedResult result;
     result.execs_total = report.execs;
-    const auto &coverage = engine->corpus().totalCoverage();
     for (const uint32_t target : targets) {
-        if (coverage.containsBlock(target))
+        if (engine->corpus().coversBlock(target))
             result.reached.push_back(target);
     }
     return result;

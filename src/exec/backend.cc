@@ -68,12 +68,8 @@ class ReferenceBackend final : public ExecBackend
             const prog::Call &call = prog.calls[i];
             SP_ASSERT(call.decl != nullptr, "call %zu has no decl", i);
 
-            auto resolver = [&](int32_t ref) -> uint64_t {
-                if (ref < 0 || static_cast<size_t>(ref) >= i)
-                    return prog::kBadHandle;
-                return rets_[static_cast<size_t>(ref)];
-            };
-            prog::flattenCallInto(call, resolver, slots_);
+            // Only calls before this one have returned.
+            prog::flattenCallInto(call, {rets_.data(), i}, slots_);
 
             CallTrace trace;
             trace.call_index = static_cast<uint32_t>(i);
@@ -121,22 +117,6 @@ class FastBackend final : public ExecBackend
           dirty_entries_(metrics.histogram("exec.dirty_entries")),
           state_(kernel.initialState())
     {
-        const auto &blocks = kernel.blocks();
-        succ_.resize(blocks.size());
-        for (size_t i = 0; i < blocks.size(); ++i) {
-            const kern::BasicBlock &bb = blocks[i];
-            switch (bb.term) {
-              case kern::Term::Return:
-                break;
-              case kern::Term::Fallthrough:
-                succ_[i].taken = bb.taken;
-                break;
-              case kern::Term::Branch:
-                succ_[i].taken = bb.taken;
-                succ_[i].fallthrough = bb.fallthrough;
-                break;
-            }
-        }
         state_.beginJournal();
     }
 
@@ -147,30 +127,21 @@ class FastBackend final : public ExecBackend
     {
         ExecArena &arena = ExecArena::local();
         ++arena.programs;
-        coverage_.bind(succ_.data(), succ_.size());
+        const auto &succ = kernel_.successorTable();
+        coverage_.bind(succ.data(), succ.size());
         coverage_.beginExec();
 
         ExecResult result;
         arena.rets.assign(prog.calls.size(), prog::kBadHandle);
         result.calls.reserve(prog.calls.size());
 
-        // One type-erased resolver for the whole program (constructing
-        // a std::function per call shows up at this call rate); the
-        // current call index is read through the capture.
-        size_t current_call = 0;
-        const prog::ResourceResolver resolver =
-            [&arena, &current_call](int32_t ref) -> uint64_t {
-            if (ref < 0 || static_cast<size_t>(ref) >= current_call)
-                return prog::kBadHandle;
-            return arena.rets[static_cast<size_t>(ref)];
-        };
-
         for (size_t i = 0; i < prog.calls.size(); ++i) {
             const prog::Call &call = prog.calls[i];
             SP_ASSERT(call.decl != nullptr, "call %zu has no decl", i);
 
-            current_call = i;
-            prog::flattenCallInto(call, resolver, arena.slots);
+            // Only calls before this one have returned.
+            prog::flattenCallInto(call, {arena.rets.data(), i},
+                                  arena.slots);
 
             arena.trace.clear();
             kern::CallResult call_result = kernel_.executeCall(
@@ -220,7 +191,6 @@ class FastBackend final : public ExecBackend
     obs::Histogram &restore_us_;
     obs::Histogram &dirty_entries_;
     kern::KernelState state_;  ///< journaled pristine snapshot
-    std::vector<DenseCoverage::Successors> succ_;
     DenseCoverage coverage_;
 };
 

@@ -108,6 +108,64 @@ CoverageSet::containsEdge(uint32_t from, uint32_t to) const
     return edges_.count(key) != 0;
 }
 
+namespace {
+
+/** Set bit `index`; true iff it was clear. */
+inline bool
+testAndSet(std::vector<uint64_t> &bits, size_t index)
+{
+    uint64_t &word = bits[index >> 6];
+    const uint64_t mask = uint64_t{1} << (index & 63);
+    const bool fresh = (word & mask) == 0;
+    word |= mask;
+    return fresh;
+}
+
+}  // namespace
+
+CoverageTotal::CoverageTotal(std::span<const kern::StaticSuccessors> succ)
+    : succ_(succ), block_bits_((succ.size() + 63) / 64, 0),
+      edge_bits_((succ.size() * 2 + 63) / 64, 0)
+{
+}
+
+CoverageTotal::Growth
+CoverageTotal::absorb(const CoverageSet &coverage)
+{
+    Growth growth;
+    const size_t num_blocks = succ_.size();
+    coverage.eachBlock([&](uint32_t block) {
+        growth.blocks += block < num_blocks
+                             ? testAndSet(block_bits_, block)
+                             : stray_blocks_.insert(block).second;
+    });
+    coverage.eachEdge([&](uint64_t key) {
+        const auto from = static_cast<uint32_t>(key >> 32);
+        const auto to = static_cast<uint32_t>(key);
+        if (from < num_blocks && to != kern::kNoBlock) {
+            const kern::StaticSuccessors &succ = succ_[from];
+            if (to == succ.taken || to == succ.fallthrough) {
+                growth.edges += testAndSet(
+                    edge_bits_,
+                    static_cast<size_t>(from) * 2 + (to != succ.taken));
+                return;
+            }
+        }
+        growth.edges += stray_edges_.insert(key).second;
+    });
+    block_count_ += growth.blocks;
+    edge_count_ += growth.edges;
+    return growth;
+}
+
+bool
+CoverageTotal::containsBlock(uint32_t block) const
+{
+    if (block >= succ_.size())
+        return stray_blocks_.count(block) != 0;
+    return (block_bits_[block >> 6] >> (block & 63)) & 1;
+}
+
 void
 DenseCoverage::bind(const Successors *succ, size_t num_blocks)
 {

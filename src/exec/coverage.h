@@ -30,14 +30,21 @@
  * count, never cleared between execs (the epoch bump invalidates the
  * whole map in O(1)), converted into a CoverageSet once per program at
  * the API boundary.
+ *
+ * CoverageTotal is the corpus's running union over every execution:
+ * bitsets over the same dense block and static-edge index, so folding
+ * one result in is a test-and-set per id of the result.
  */
 #ifndef SP_EXEC_COVERAGE_H
 #define SP_EXEC_COVERAGE_H
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
+
+#include "kernel/block.h"
 
 namespace sp::exec {
 
@@ -106,11 +113,8 @@ class CoverageSet
     }
     /** @} */
 
-  private:
-    /** Move staged vectors into the hash sets (no-op in hash mode). */
-    void promote() const;
-
-    /** Iterate blocks/edges in whatever mode the set is in. */
+    /** Iterate blocks/edges in whatever mode the set is in (no
+     *  promotion; order unspecified). */
     template <typename Fn>
     void
     eachBlock(Fn &&fn) const
@@ -136,6 +140,10 @@ class CoverageSet
         }
     }
 
+  private:
+    /** Move staged vectors into the hash sets (no-op in hash mode). */
+    void promote() const;
+
     mutable std::unordered_set<uint32_t> blocks_;
     mutable std::unordered_set<uint64_t> edges_;
     mutable std::vector<uint32_t> staged_blocks_;
@@ -157,15 +165,8 @@ class CoverageSet
 class DenseCoverage
 {
   public:
-    /** Sentinel for "no static successor in this slot". */
-    static constexpr uint32_t kNoSuccessor = ~0u;
-
-    /** Static successor pair of one block (see Kernel::successors). */
-    struct Successors
-    {
-        uint32_t taken = kNoSuccessor;
-        uint32_t fallthrough = kNoSuccessor;
-    };
+    /** Static successor pair of one block (Kernel::successorTable). */
+    using Successors = kern::StaticSuccessors;
 
     /**
      * Bind to a kernel topology: `succ` holds one entry per block and
@@ -208,6 +209,48 @@ class DenseCoverage
     std::vector<uint32_t> touched_blocks_;
     std::vector<uint64_t> touched_edges_;
     std::vector<uint64_t> stray_edges_;  ///< non-static, this exec
+};
+
+/**
+ * Running union of many executions' coverage (the corpus total), kept
+ * dense: one bit per kernel block and one per static-edge slot (block
+ * * 2 + successor, DenseCoverage's index). Stray edges outside the
+ * static CFG, and ids beyond the successor table, go to small side
+ * sets. absorb() is one test-and-set per id of the result, so its cost
+ * scales with the result, never with the total. Not thread-safe: the
+ * corpus serializes it under its admission lock.
+ */
+class CoverageTotal
+{
+  public:
+    /** What one absorb() added to the total. */
+    struct Growth
+    {
+        size_t blocks = 0;
+        size_t edges = 0;
+    };
+
+    /** No topology: every block and edge lands in the side sets. */
+    CoverageTotal() = default;
+
+    /** `succ` holds one entry per block and must outlive this total. */
+    explicit CoverageTotal(std::span<const kern::StaticSuccessors> succ);
+
+    /** Fold one execution's coverage in; returns what was new. */
+    Growth absorb(const CoverageSet &coverage);
+
+    bool containsBlock(uint32_t block) const;
+    size_t blockCount() const { return block_count_; }
+    size_t edgeCount() const { return edge_count_; }
+
+  private:
+    std::span<const kern::StaticSuccessors> succ_;
+    std::vector<uint64_t> block_bits_;
+    std::vector<uint64_t> edge_bits_;  ///< 2 slots per block
+    std::unordered_set<uint32_t> stray_blocks_;
+    std::unordered_set<uint64_t> stray_edges_;
+    size_t block_count_ = 0;
+    size_t edge_count_ = 0;
 };
 
 }  // namespace sp::exec

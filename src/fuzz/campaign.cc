@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <latch>
 #include <mutex>
 #include <thread>
 
@@ -465,6 +466,7 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
     CampaignShared &shared = *env.shared;
     const FuzzOptions &opts = *shared.opts;
     BudgetLedger &ledger = *shared.ledger;
+    mut::ArgUndo undo;  // reused by every argument-lane mutant
     if (obs::traceEnabled() || obs::introspectionEnabled()) {
         obs::setRingLabel("worker" +
                           std::to_string(env.worker_id));
@@ -527,12 +529,11 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
             loc.channel);
 
         // Instantiate + execute per site on one scratch copy of the
-        // base per round. Instantiation writes only the site's call
-        // (resource rewiring reads the other calls' decls; length
-        // fixups and regenerated pointees stay inside the call), so
-        // saving that call before each mutant and moving it back
-        // afterwards restores the base exactly, without copying the
-        // rest of the program.
+        // base per round. Each instantiation records what it overwrote
+        // (the target argument's values, its old pointee, the length
+        // writes) in the worker's undo record, and replaying it after
+        // the execute stage restores the base exactly: a mutant costs
+        // what it changed, not a copy of its call.
         prog::Prog mutant;
         if (!loc.sites.empty())
             mutant.calls = base_program.calls;
@@ -543,20 +544,19 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
                 // A stale site (no such call) instantiates nothing.
                 if (site.call_index >= mutant.calls.size())
                     break;
-                prog::Call saved = mutant.calls[site.call_index];
                 bool instantiated;
                 {
                     boardStage(env, obs::WorkerStage::Instantiate);
                     obs::TraceSpan span(obs::SpanKind::Instantiate);
                     instantiated = env.mutator->instantiateArgMutation(
-                        mutant, site, *env.rng);
+                        mutant, site, *env.rng, &undo);
                 }
                 if (instantiated) {
                     executeSlot(env, mutant, MutationLane::Argument,
                                 &site, /*bounded=*/true, arg_arm,
                                 &base_program, &base_result);
                 }
-                mutant.calls[site.call_index] = std::move(saved);
+                undo.restore();
                 if (!instantiated)
                     break;
             }
@@ -625,8 +625,8 @@ finalizeCampaign(CampaignShared &shared, double wall_sec,
 {
     FuzzReport report;
     report.timeline = std::move(shared.board);
-    report.final_edges = shared.corpus->totalCoverage().edgeCount();
-    report.final_blocks = shared.corpus->totalCoverage().blockCount();
+    report.final_edges = shared.corpus->edgeCount();
+    report.final_blocks = shared.corpus->blockCount();
     report.execs = shared.ledger->completed();
     report.corpus_size = shared.corpus->size();
     report.final_crashes = shared.crashes->uniqueCrashes();
@@ -717,7 +717,8 @@ CampaignEngine::CampaignEngine(const kern::Kernel &kernel,
       mutator_(kernel.table(), opts_.fuzz.mutator),
       executors_(kernel, execOptionsFor(opts_.fuzz), opts_.workers,
                  metrics_),
-      corpus_(opts_.workers, metrics_), crashes_(kernel, metrics_),
+      corpus_(opts_.workers, metrics_, kernel.successorTable()),
+      crashes_(kernel, metrics_),
       ledger_(opts_.fuzz.exec_budget, opts_.fuzz.checkpoint_every)
 {
     SP_ASSERT(make_localizer != nullptr,
@@ -747,8 +748,8 @@ CampaignEngine::runUntil(const StopPredicate &stop)
 {
     SP_ASSERT(!ran_, "CampaignEngine::run/runUntil is one-shot");
     SP_ASSERT(!stop || opts_.workers == 1,
-              "runUntil: a stop predicate needs workers = 1 (it would "
-              "race the workers on corpus().totalCoverage())");
+              "runUntil: a stop predicate needs workers = 1 (it runs "
+              "between one worker's executions)");
     ran_ = true;
     const auto wall_start = std::chrono::steady_clock::now();
 
@@ -834,13 +835,19 @@ CampaignEngine::runUntil(const StopPredicate &stop)
     seedStage(envs[0], kernel_);
 
     // Mutation stages: workers 1..N-1 on threads, worker 0 here (a
-    // 1-worker campaign therefore never spawns a thread).
+    // 1-worker campaign therefore never spawns a thread). Worker 0
+    // holds until every spawned worker is running, so a small budget
+    // is not drained before the others reach their first round.
     std::vector<std::thread> threads;
     threads.reserve(opts_.workers - 1);
+    std::latch spawned_running(static_cast<ptrdiff_t>(opts_.workers - 1));
     for (size_t w = 1; w < opts_.workers; ++w) {
-        threads.emplace_back(
-            [this, &envs, w] { workerLoop(envs[w], kernel_); });
+        threads.emplace_back([this, &envs, &spawned_running, w] {
+            spawned_running.count_down();
+            workerLoop(envs[w], kernel_);
+        });
     }
+    spawned_running.wait();
     workerLoop(envs[0], kernel_);
     for (auto &thread : threads)
         thread.join();

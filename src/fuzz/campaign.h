@@ -249,9 +249,9 @@ class CampaignEngine
     /**
      * Run until `stop` returns true or the budget is exhausted. The
      * predicate sees the engine between executions (directed mode
-     * stops on reaching its target). It runs inside the worker loop,
-     * and corpus().totalCoverage() is single-threaded only, so a
-     * non-empty predicate requires `workers = 1`. One-shot: run() and
+     * stops on reaching its target). It runs inside the worker loop
+     * and reads the engine's quiescent introspection, so a non-empty
+     * predicate requires `workers = 1`. One-shot: run() and
      * runUntil() together may be called once per engine.
      */
     FuzzReport runUntil(const StopPredicate &stop);

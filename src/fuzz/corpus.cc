@@ -5,9 +5,11 @@
 
 namespace sp::fuzz {
 
-Corpus::Corpus(size_t shards, obs::Registry &metrics)
+Corpus::Corpus(size_t shards, obs::Registry &metrics,
+               std::span<const kern::StaticSuccessors> successors)
     : shard_count_(shards == 0 ? 1 : shards),
       shards_(std::make_unique<Shard[]>(shard_count_)),
+      total_(successors),
       admit_contention_(metrics.counter("campaign.admit_contention"))
 {
 }
@@ -27,10 +29,10 @@ Corpus::maybeAdd(const prog::Prog &program, const exec::ExecResult &result,
             admit_contention_.inc();
             lock.lock();
         }
-        const size_t blocks_before = total_.blockCount();
-        new_edges = total_.countNewEdges(result.coverage);
-        total_.merge(result.coverage);
-        new_blocks = total_.blockCount() - blocks_before;
+        const exec::CoverageTotal::Growth growth =
+            total_.absorb(result.coverage);
+        new_edges = growth.edges;
+        new_blocks = growth.blocks;
         edge_count_.store(total_.edgeCount(), std::memory_order_release);
         block_count_.store(total_.blockCount(),
                            std::memory_order_release);
@@ -62,6 +64,13 @@ Corpus::maybeAdd(const prog::Prog &program, const exec::ExecResult &result,
     }
     size_.fetch_add(1, std::memory_order_release);
     return true;
+}
+
+bool
+Corpus::coversBlock(uint32_t block) const
+{
+    std::lock_guard<std::mutex> lock(cov_mu_);
+    return total_.containsBlock(block);
 }
 
 const CorpusEntry &

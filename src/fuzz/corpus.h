@@ -11,9 +11,11 @@
  * shards (per-shard mutex, deque storage so references stay stable),
  * while admission itself serializes on one coverage mutex so the
  * "new edges over the aggregate" decision keeps its single-threaded
- * semantics. Aggregate edge/block counts and a coverage epoch are
- * mirrored into relaxed atomics so checkpoint readers never take the
- * admission lock. A single-shard corpus (the default) draws from the
+ * semantics. The aggregate is an exec::CoverageTotal (dense bitsets
+ * over the kernel's block and static-edge index), so triage is one
+ * test-and-set per id of the result. Aggregate edge/block counts and
+ * a coverage epoch are mirrored into relaxed atomics so checkpoint
+ * readers never take the admission lock. A single-shard corpus (the default) draws from the
  * RNG exactly like the historical unsharded corpus did, which is what
  * keeps `--workers 1` campaigns bit-for-bit reproducible.
  */
@@ -25,6 +27,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -49,12 +52,16 @@ class Corpus
 {
   public:
     /**
-     * @param shards   entry shards; 1 reproduces the legacy corpus.
-     * @param metrics  registry receiving `campaign.admit_contention`
-     *                 (a campaign passes its own).
+     * @param shards      entry shards; 1 reproduces the legacy corpus.
+     * @param metrics     registry receiving `campaign.admit_contention`
+     *                    (a campaign passes its own).
+     * @param successors  the kernel's successorTable(), indexing the
+     *                    dense coverage total; empty = no topology
+     *                    (exact, but every id takes the side sets).
      */
-    explicit Corpus(size_t shards = 1,
-                    obs::Registry &metrics = obs::Registry::global());
+    explicit Corpus(
+        size_t shards = 1, obs::Registry &metrics = obs::Registry::global(),
+        std::span<const kern::StaticSuccessors> successors = {});
 
     Corpus(const Corpus &) = delete;
     Corpus &operator=(const Corpus &) = delete;
@@ -93,13 +100,8 @@ class Corpus
     }
     bool empty() const { return size() == 0; }
 
-    /**
-     * Aggregated coverage over every executed program (not just kept).
-     * Reading the returned set races with concurrent admissions — only
-     * use it from single-threaded phases (setup, post-join reporting,
-     * the stop predicate of a 1-worker CampaignEngine::runUntil).
-     */
-    const exec::CoverageSet &totalCoverage() const { return total_; }
+    /** Whether any executed program (not just kept) reached `block`. */
+    bool coversBlock(uint32_t block) const;
 
     /** @name Lock-free aggregate counters (checkpoint hot path) */
     /** @{ */
@@ -134,7 +136,7 @@ class Corpus
     /** Serializes admission: aggregate coverage + content dedup. */
     mutable std::mutex cov_mu_;
     std::unordered_set<uint64_t> hashes_;
-    exec::CoverageSet total_;
+    exec::CoverageTotal total_;
 
     std::atomic<size_t> edge_count_{0};
     std::atomic<size_t> block_count_{0};

@@ -90,6 +90,18 @@ struct BasicBlock
     uint16_t depth = 0;
 };
 
+/**
+ * The static successor pair of one block, kNoBlock-padded: `taken` is
+ * the branch-taken (or unconditional) target, `fallthrough` the
+ * not-taken one. Edge slot `block * 2 + (to != taken)` is the dense
+ * static-edge index the coverage accumulators share.
+ */
+struct StaticSuccessors
+{
+    uint32_t taken = kNoBlock;
+    uint32_t fallthrough = kNoBlock;
+};
+
 /** Synthesize tokens for a branch block testing `cond`. */
 std::vector<uint16_t> branchTokens(const Cond &cond);
 

@@ -179,6 +179,15 @@ KernelBuilder::finish()
     for (const auto &[block, bug_index] : kernel_.bug_at_block_)
         kernel_.bug_index_at_block_[block] = bug_index;
 
+    kernel_.successor_table_.assign(kernel_.blocks_.size(), {});
+    for (const auto &bb : kernel_.blocks_) {
+        StaticSuccessors &succ = kernel_.successor_table_[bb.id];
+        if (bb.term != Term::Return)
+            succ.taken = bb.taken;
+        if (bb.term == Term::Branch)
+            succ.fallthrough = bb.fallthrough;
+    }
+
     SP_ASSERT(kernel_.handlers_.size() == kernel_.table_.decls.size());
     for (const auto &handler : kernel_.handlers_) {
         SP_ASSERT(handler.entry != kNoBlock,

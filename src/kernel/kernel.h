@@ -134,6 +134,16 @@ class Kernel
      */
     std::vector<uint32_t> successors(uint32_t block) const;
 
+    /**
+     * Per-block static successor pairs, one entry per block, sealed
+     * by KernelBuilder::finish(). The exec backend's per-exec dedup
+     * and the corpus coverage total both index edges through it.
+     */
+    const std::vector<StaticSuccessors> &successorTable() const
+    {
+        return successor_table_;
+    }
+
     /** All directed static edges (from, to). */
     std::vector<std::pair<uint32_t, uint32_t>> staticEdges() const;
 
@@ -169,6 +179,7 @@ class Kernel
      *  block — the CFG walk checks every visited block, and the dense
      *  lookup beats the hash probe on that hot path. */
     std::vector<uint32_t> bug_index_at_block_;
+    std::vector<StaticSuccessors> successor_table_;
     std::vector<std::string> resource_kinds_;
     uint16_t num_flags_ = 0;
     std::string version_ = "sim";

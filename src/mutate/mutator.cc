@@ -103,6 +103,24 @@ mutateResource(Arg &arg, const prog::Prog &prog, size_t call_index,
 
 }  // namespace
 
+void
+ArgUndo::restore()
+{
+    for (auto it = lengths.rbegin(); it != lengths.rend(); ++it)
+        it->arg->scalar = it->old_value;
+    lengths.clear();
+    if (target == nullptr)
+        return;
+    target->scalar = scalar;
+    target->is_null = is_null;
+    target->result_ref = result_ref;
+    if (target->type->kind == TypeKind::Buffer)
+        target->bytes.swap(bytes);
+    else if (target->type->kind == TypeKind::Ptr)
+        target->pointee = std::move(pointee);
+    target = nullptr;
+}
+
 Mutator::Mutator(const prog::SyscallTable &table, MutatorOptions opts)
     : table_(table), opts_(std::move(opts))
 {
@@ -132,8 +150,11 @@ Mutator::selectType(Rng &rng, const prog::Prog &prog) const
 
 bool
 Mutator::instantiateArgMutation(prog::Prog &prog, const ArgLocation &loc,
-                                Rng &rng) const
+                                Rng &rng, ArgUndo *undo) const
 {
+    SP_ASSERT(undo == nullptr ||
+                  (undo->target == nullptr && undo->lengths.empty()),
+              "instantiating over an unrestored undo record");
     if (loc.call_index >= prog.calls.size())
         return false;
     prog::Call &call = prog.calls[loc.call_index];
@@ -162,8 +183,23 @@ Mutator::instantiateArgMutation(prog::Prog &prog, const ArgLocation &loc,
     if (probe == nullptr)
         return false;
     Arg &arg = prog::argAtPath(call, loc.point.path);
+    const TypeKind kind = arg.type->kind;
+    if (kind == TypeKind::Const || kind == TypeKind::Len ||
+        kind == TypeKind::Struct) {
+        return false;  // not directly mutable
+    }
+    if (undo != nullptr) {
+        undo->target = &arg;
+        undo->scalar = arg.scalar;
+        undo->is_null = arg.is_null;
+        undo->result_ref = arg.result_ref;
+        if (kind == TypeKind::Buffer)
+            undo->bytes.assign(arg.bytes.begin(), arg.bytes.end());
+        else if (kind == TypeKind::Ptr)
+            undo->pointee = std::move(arg.pointee);
+    }
 
-    switch (arg.type->kind) {
+    switch (kind) {
       case TypeKind::Int:
       case TypeKind::Flags:
         mutateScalar(arg, rng);
@@ -191,10 +227,9 @@ Mutator::instantiateArgMutation(prog::Prog &prog, const ArgLocation &loc,
       case TypeKind::Const:
       case TypeKind::Len:
       case TypeKind::Struct:
-        // Not directly mutable; nothing to do.
-        return false;
+        break;  // rejected above
     }
-    prog::fixupLengths(call);
+    prog::fixupLengths(call, undo != nullptr ? &undo->lengths : nullptr);
     return true;
 }
 

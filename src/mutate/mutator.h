@@ -38,6 +38,28 @@ struct MutatorOptions
     prog::GenOptions gen;  ///< used when synthesizing inserted calls
 };
 
+/**
+ * What one argument instantiation overwrote, so the caller can put the
+ * base program back without copying it: the target node's value
+ * fields, its old pointee (moved out, not cloned), and every length
+ * write the re-fixup made. Logging writes instead of recomputing
+ * lengths keeps the restore exact even for a base whose lengths were
+ * stale. One per worker; restore() empties it for the next mutant.
+ */
+struct ArgUndo
+{
+    prog::Arg *target = nullptr;  ///< null = nothing recorded
+    uint64_t scalar = 0;
+    bool is_null = false;
+    int32_t result_ref = -1;
+    std::vector<uint8_t> bytes;  ///< saved for Buffer targets only
+    prog::ArgPtr pointee;        ///< moved out of Ptr targets only
+    std::vector<prog::LengthWrite> lengths;
+
+    /** Undo the length writes newest-first, then the target. */
+    void restore();
+};
+
 /** Mutation engine bound to one syscall table. */
 class Mutator
 {
@@ -51,10 +73,12 @@ class Mutator
      * Instantiate an argument mutation at `loc` in place: pick new
      * values for the located argument and re-fix lengths. Returns false
      * when the location no longer exists in this program (stale after
-     * other mutations).
+     * other mutations). When `undo` is non-null (and empty), it records
+     * everything the instantiation overwrote; undo->restore() then
+     * returns `prog` to its prior state exactly.
      */
     bool instantiateArgMutation(prog::Prog &prog, const ArgLocation &loc,
-                                Rng &rng) const;
+                                Rng &rng, ArgUndo *undo = nullptr) const;
 
     /** Insert a freshly generated call at a random position. */
     void insertCall(prog::Prog &prog, Rng &rng) const;

@@ -45,16 +45,16 @@ CovMapPlan::build(
     std::sort(plan.edges.begin(), plan.edges.end());
     plan.edges.erase(std::unique(plan.edges.begin(), plan.edges.end()),
                      plan.edges.end());
-    plan.succ.assign(num_blocks, {kNone, kNone});
-    plan.succ_edge.assign(num_blocks, {kNone, kNone});
+    plan.succ.assign(num_blocks, {});
     for (uint32_t e = 0; e < plan.edges.size(); ++e) {
         const auto [from, to] = plan.edges[e];
         if (from >= num_blocks)
             continue;
+        Successors &succ = plan.succ[from];
         for (size_t slot = 0; slot < 2; ++slot) {
-            if (plan.succ[from][slot] == kNone) {
-                plan.succ[from][slot] = to;
-                plan.succ_edge[from][slot] = e;
+            if (succ.to[slot] == kNone) {
+                succ.to[slot] = to;
+                succ.edge[slot] = e;
                 break;
             }
         }
@@ -68,8 +68,8 @@ CovMapPlan::edgeIndex(uint32_t from, uint32_t to) const
     if (from >= num_blocks)
         return kNone;
     for (size_t slot = 0; slot < 2; ++slot) {
-        if (succ[from][slot] == to)
-            return succ_edge[from][slot];
+        if (succ[from].to[slot] == to)
+            return succ[from].edge[slot];
     }
     return kNone;
 }
@@ -109,34 +109,35 @@ CovShard::recordTrace(const std::vector<uint32_t> &blocks)
 {
     if (blocks.empty())
         return;
-    const CovMapPlan &plan = *plan_;
-    const size_t num_blocks = plan.num_blocks;
+    const CovMapPlan::Successors *const succ = plan_->succ.data();
+    const size_t num_blocks = plan_->num_blocks;
     std::atomic<uint64_t> *const block_hits = block_hits_.get();
     std::atomic<uint64_t> *const edge_hits = edge_hits_.get();
 
-    // First block peeled so the loop body never tests for "no
-    // predecessor yet".
+    // First block peeled: a trace start is always a direct entry.
     uint32_t prev = blocks[0];
     if (prev < num_blocks)
         bump(block_hits[prev]);
     for (size_t i = 1; i < blocks.size(); ++i) {
         const uint32_t block = blocks[i];
-        if (block < num_blocks)
-            bump(block_hits[block]);
+        uint32_t edge = CovMapPlan::kNone;
         if (prev < num_blocks) {
-            // Inlined edgeIndex: the two successor slots of `prev`.
-            const auto &succ = plan.succ[prev];
-            if (succ[0] == block)
-                bump(edge_hits[plan.succ_edge[prev][0]]);
-            else if (succ[1] == block)
-                bump(edge_hits[plan.succ_edge[prev][1]]);
-            else
-                // Noise-inserted interrupt transitions and other
-                // non-static pairs: tallied in aggregate so the hot
-                // path never allocates.
-                bump(stray_edges_);
+            // Inlined edgeIndex over the packed successor record.
+            const CovMapPlan::Successors &s = succ[prev];
+            edge = s.to[0] == block   ? s.edge[0]
+                   : s.to[1] == block ? s.edge[1]
+                                      : CovMapPlan::kNone;
+        }
+        if (edge != CovMapPlan::kNone) {
+            // The block's visit is derived from this edge at reads.
+            bump(edge_hits[edge]);
         } else {
+            // Noise-inserted interrupt transitions and other
+            // non-static pairs: tallied in aggregate so the hot path
+            // never allocates; the block counts as a direct entry.
             bump(stray_edges_);
+            if (block < num_blocks)
+                bump(block_hits[block]);
         }
         prev = block;
     }
@@ -145,9 +146,15 @@ CovShard::recordTrace(const std::vector<uint32_t> &blocks)
 uint64_t
 CovShard::blockHits(uint32_t block) const
 {
-    return block < plan_->num_blocks
-               ? block_hits_[block].load(std::memory_order_relaxed)
-               : 0;
+    const CovMapPlan &plan = *plan_;
+    if (block >= plan.num_blocks)
+        return 0;
+    uint64_t hits = block_hits_[block].load(std::memory_order_relaxed);
+    for (uint32_t e = 0; e < plan.numEdges(); ++e) {
+        if (plan.edges[e].second == block)
+            hits += edge_hits_[e].load(std::memory_order_relaxed);
+    }
+    return hits;
 }
 
 uint64_t
@@ -228,6 +235,12 @@ CovMap::foldShards(std::vector<uint64_t> &blocks,
         }
         stray += shard->stray_edges_.load(std::memory_order_relaxed);
     }
+    // Shards count a visit over a static edge on the edge alone.
+    for (size_t e = 0; e < plan_.numEdges(); ++e) {
+        const uint32_t to = plan_.edges[e].second;
+        if (to < plan_.num_blocks)
+            blocks[to] += edges[e];
+    }
 }
 
 std::vector<FrontierEntry>
@@ -239,10 +252,10 @@ computeFrontier(const CovMapPlan &plan,
         // Two-way branch guards only: a single-successor block whose
         // successor is unreached is a crash artifact, not a branch a
         // mutator could cross.
-        if (block_hits[b] == 0 || plan.succ[b][1] == CovMapPlan::kNone)
+        if (block_hits[b] == 0 || plan.succ[b].to[1] == CovMapPlan::kNone)
             continue;
         for (size_t slot = 0; slot < 2; ++slot) {
-            const uint32_t target = plan.succ[b][slot];
+            const uint32_t target = plan.succ[b].to[slot];
             if (target == CovMapPlan::kNone ||
                 target >= plan.num_blocks || block_hits[target] != 0) {
                 continue;
@@ -472,8 +485,7 @@ CovMap::residentBytes() const
         (plan_.num_blocks + plan_.numEdges()) * sizeof(uint64_t);
     const size_t plan_bytes =
         plan_.edges.size() * sizeof(plan_.edges[0]) +
-        plan_.succ.size() *
-            (sizeof(plan_.succ[0]) + sizeof(plan_.succ_edge[0]));
+        plan_.succ.size() * sizeof(plan_.succ[0]);
     return plan_bytes + per_shard * (shards_.size() + 1);
 }
 

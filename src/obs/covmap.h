@@ -14,9 +14,10 @@
  *    edge index, per-block successor table) built once from plain data
  *    (`kernel.staticEdges()`), so sp_obs stays dependency-free;
  *  - each campaign worker owns one CovShard of relaxed-atomic counters
- *    (single writer, merge-time readers): recording a trace is two
- *    array loads and a relaxed load+store increment per visited block
- *    (no RMW lock — the writer is unique), no locks, no allocation;
+ *    (single writer, merge-time readers): recording a trace is one
+ *    successor-record load and one relaxed load+store increment per
+ *    visited block (no RMW lock — the writer is unique), no locks, no
+ *    allocation;
  *  - the checkpoint owner (already serialized by the campaign's
  *    in-order checkpoint emission) calls onCheckpoint(), which folds
  *    every shard into the cumulative map, derives the window delta
@@ -58,13 +59,19 @@ struct CovMapPlan
     /** "No block / no edge" sentinel. */
     static constexpr uint32_t kNone = ~0u;
 
+    /** One block's static successors and their dense edge ids,
+     *  kNone-padded: one 16-byte record, one cache access per step. */
+    struct Successors
+    {
+        std::array<uint32_t, 2> to{kNone, kNone};
+        std::array<uint32_t, 2> edge{kNone, kNone};
+    };
+
     size_t num_blocks = 0;
     /** Dense edge id -> (from, to); unique static edges, sorted. */
     std::vector<std::pair<uint32_t, uint32_t>> edges;
-    /** Per-block static successors (kNone-padded, at most two). */
-    std::vector<std::array<uint32_t, 2>> succ;
-    /** Dense edge id of the corresponding successor slot. */
-    std::vector<std::array<uint32_t, 2>> succ_edge;
+    /** Per-block static successors (at most two). */
+    std::vector<Successors> succ;
 
     size_t numEdges() const { return edges.size(); }
 
@@ -89,6 +96,11 @@ struct CovMapPlan
  * needed); CovMap's merge reads the same counters relaxed from the
  * checkpoint owner, so the pair is race-free by construction and
  * TSan-clean.
+ *
+ * A visit that arrives over a static edge bumps only that edge: the
+ * block's hit count is derived as its direct entries (trace starts,
+ * entries over stray transitions) plus its incoming static-edge hits,
+ * which halves the counter traffic per visited block.
  */
 class CovShard
 {
@@ -99,6 +111,7 @@ class CovShard
 
     /** @name Relaxed reads (merge / tests) */
     /** @{ */
+    /** Visits of `block`: direct entries plus incoming edge hits. */
     uint64_t blockHits(uint32_t block) const;
     uint64_t edgeHits(uint32_t edge) const;
     uint64_t strayEdges() const
@@ -113,6 +126,7 @@ class CovShard
     explicit CovShard(const CovMapPlan *plan);
 
     const CovMapPlan *plan_;
+    /** Direct entries only (see the class comment). */
     std::unique_ptr<std::atomic<uint64_t>[]> block_hits_;
     std::unique_ptr<std::atomic<uint64_t>[]> edge_hits_;
     std::atomic<uint64_t> stray_edges_{0};

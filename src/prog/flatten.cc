@@ -1,5 +1,7 @@
 #include "prog/flatten.h"
 
+#include <numeric>
+
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -29,7 +31,7 @@ reachable(const Call &call, const SlotDesc &slot)
 }
 
 void
-flattenArg(const Arg &arg, const ResourceResolver &resolve,
+flattenArg(const Arg &arg, std::span<const uint64_t> returns,
            std::vector<uint64_t> &out)
 {
     switch (arg.type->kind) {
@@ -40,7 +42,11 @@ flattenArg(const Arg &arg, const ResourceResolver &resolve,
         out.push_back(arg.scalar);
         break;
       case TypeKind::Resource:
-        out.push_back(resolve(arg.result_ref));
+        out.push_back(arg.result_ref >= 0 &&
+                              static_cast<size_t>(arg.result_ref) <
+                                  returns.size()
+                          ? returns[static_cast<size_t>(arg.result_ref)]
+                          : kBadHandle);
         break;
       case TypeKind::Ptr:
         out.push_back(arg.is_null ? 0 : 1);
@@ -49,12 +55,12 @@ flattenArg(const Arg &arg, const ResourceResolver &resolve,
             const uint32_t n = slotCount(*arg.type->elem);
             out.insert(out.end(), n, 0);
         } else {
-            flattenArg(*arg.pointee, resolve, out);
+            flattenArg(*arg.pointee, returns, out);
         }
         break;
       case TypeKind::Struct:
         for (const auto &f : arg.fields)
-            flattenArg(*f, resolve, out);
+            flattenArg(*f, returns, out);
         break;
       case TypeKind::Buffer:
         out.push_back(arg.bytes.size());
@@ -67,31 +73,32 @@ flattenArg(const Arg &arg, const ResourceResolver &resolve,
 }  // namespace
 
 std::vector<uint64_t>
-flattenCall(const Call &call, const ResourceResolver &resolve)
+flattenCall(const Call &call, std::span<const uint64_t> returns)
 {
     std::vector<uint64_t> out;
-    flattenCallInto(call, resolve, out);
+    flattenCallInto(call, returns, out);
     return out;
 }
 
 void
-flattenCallInto(const Call &call, const ResourceResolver &resolve,
+flattenCallInto(const Call &call, std::span<const uint64_t> returns,
                 std::vector<uint64_t> &out)
 {
     const size_t arity = call.decl->slots().size();
     out.clear();
     out.reserve(arity);
     for (const auto &arg : call.args)
-        flattenArg(*arg, resolve, out);
+        flattenArg(*arg, returns, out);
     SP_ASSERT(out.size() == arity,
               "flattened arity mismatch for %s", call.decl->name.c_str());
 }
 
-uint64_t
-staticResolver(int32_t result_ref)
+std::vector<uint64_t>
+identityReturns(size_t calls)
 {
-    return result_ref < 0 ? kBadHandle
-                          : static_cast<uint64_t>(result_ref);
+    std::vector<uint64_t> table(calls);
+    std::iota(table.begin(), table.end(), uint64_t{0});
+    return table;
 }
 
 std::vector<MutationPoint>

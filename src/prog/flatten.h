@@ -14,7 +14,7 @@
  *
  * Slot discipline per type kind:
  *  - Int/Flags/Const/Len/Resource: one slot carrying the value
- *    (resources carry the runtime resource id via a resolver).
+ *    (resources carry the runtime resource id from a return table).
  *  - Ptr: one nullness slot (0/1), then the pointee's slots.
  *  - Struct: no slot of its own; field slots in order.
  *  - Buffer: a length slot, then a content-class slot (a small stable
@@ -25,7 +25,7 @@
 #define SP_PROG_FLATTEN_H
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "prog/value.h"
@@ -38,27 +38,28 @@ constexpr uint64_t kBufferClassCount = 64;
 /** Value used for invalid / unresolved resource handles. */
 constexpr uint64_t kBadHandle = ~0ULL;
 
-/** Maps a resource argument's result_ref to its runtime id. */
-using ResourceResolver = std::function<uint64_t(int32_t result_ref)>;
-
 /**
- * Flatten a call's argument values into slots. `resolve` supplies
- * runtime ids for resource references (use staticResolver for analyses
- * that run without an executor).
+ * Flatten a call's argument values into slots. `returns` is the
+ * return-value table of the calls before this one: a resource
+ * argument's result_ref k is valid iff 0 <= k < returns.size() and
+ * then carries returns[k]; any other ref carries kBadHandle.
  */
 std::vector<uint64_t> flattenCall(const Call &call,
-                                  const ResourceResolver &resolve);
+                                  std::span<const uint64_t> returns);
 
 /**
  * Flatten into a caller-owned buffer (cleared first, capacity kept).
  * The executor hot path reuses one buffer across every call of a
  * program instead of constructing a fresh vector per call.
  */
-void flattenCallInto(const Call &call, const ResourceResolver &resolve,
+void flattenCallInto(const Call &call, std::span<const uint64_t> returns,
                      std::vector<uint64_t> &out);
 
-/** Resolver mapping any valid ref to its call index and -1 to bad. */
-uint64_t staticResolver(int32_t result_ref);
+/**
+ * The identity return table over `calls` calls (ref k carries k), for
+ * analyses that flatten without an executor.
+ */
+std::vector<uint64_t> identityReturns(size_t calls);
 
 /**
  * Points in a call where the mutation engine can act. One point may

@@ -185,37 +185,45 @@ namespace {
 
 // Fix Len fields among a sibling group (struct fields or top-level args).
 void
-fixupSiblingLens(std::vector<ArgPtr> &siblings)
+fixupSiblingLens(std::vector<ArgPtr> &siblings,
+                 std::vector<LengthWrite> *log)
 {
     for (auto &arg : siblings) {
-        if (arg->type->kind == TypeKind::Len) {
-            const uint32_t target = arg->type->len_target;
-            if (target < siblings.size()) {
-                const Arg &sib = *siblings[target];
-                if (sib.type->kind == TypeKind::Buffer) {
-                    arg->scalar = sib.bytes.size();
-                } else if (sib.type->kind == TypeKind::Ptr &&
-                           !sib.is_null &&
-                           sib.pointee->type->kind == TypeKind::Buffer) {
-                    arg->scalar = sib.pointee->bytes.size();
-                }
-            }
+        if (arg->type->kind != TypeKind::Len)
+            continue;
+        const uint32_t target = arg->type->len_target;
+        if (target >= siblings.size())
+            continue;
+        const Arg &sib = *siblings[target];
+        uint64_t length = 0;
+        if (sib.type->kind == TypeKind::Buffer) {
+            length = sib.bytes.size();
+        } else if (sib.type->kind == TypeKind::Ptr && !sib.is_null &&
+                   sib.pointee->type->kind == TypeKind::Buffer) {
+            length = sib.pointee->bytes.size();
+        } else {
+            continue;
         }
+        if (arg->scalar == length)
+            continue;
+        if (log != nullptr)
+            log->push_back({arg.get(), arg->scalar});
+        arg->scalar = length;
     }
 }
 
 void
-fixupLengthsRec(Arg &arg)
+fixupLengthsRec(Arg &arg, std::vector<LengthWrite> *log)
 {
     switch (arg.type->kind) {
       case TypeKind::Ptr:
         if (!arg.is_null)
-            fixupLengthsRec(*arg.pointee);
+            fixupLengthsRec(*arg.pointee, log);
         break;
       case TypeKind::Struct:
         for (auto &f : arg.fields)
-            fixupLengthsRec(*f);
-        fixupSiblingLens(arg.fields);
+            fixupLengthsRec(*f, log);
+        fixupSiblingLens(arg.fields, log);
         break;
       default:
         break;
@@ -225,11 +233,11 @@ fixupLengthsRec(Arg &arg)
 }  // namespace
 
 void
-fixupLengths(Call &call)
+fixupLengths(Call &call, std::vector<LengthWrite> *log)
 {
     for (auto &arg : call.args)
-        fixupLengthsRec(*arg);
-    fixupSiblingLens(call.args);
+        fixupLengthsRec(*arg, log);
+    fixupSiblingLens(call.args, log);
 }
 
 namespace {

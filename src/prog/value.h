@@ -91,11 +91,21 @@ ArgPtr defaultArg(const TypeRef &type);
 /** Construct default values for every argument of a decl. */
 std::vector<ArgPtr> defaultArgs(const SyscallDecl &decl);
 
+/** One length-field write: the Len node and the value it held. */
+struct LengthWrite
+{
+    Arg *arg = nullptr;
+    uint64_t old_value = 0;
+};
+
 /**
  * Recompute every Len field in a call from its sibling buffer's current
- * size. Call after any mutation that can change buffer lengths.
+ * size. Call after any mutation that can change buffer lengths. When
+ * `log` is non-null, every write that changes a value is appended to
+ * it, so replaying the log backwards restores the old lengths exactly
+ * (stale ones included).
  */
-void fixupLengths(Call &call);
+void fixupLengths(Call &call, std::vector<LengthWrite> *log = nullptr);
 
 /**
  * Visit every Arg node of a call in flattening order (pre-order).

@@ -72,12 +72,13 @@ TEST(CovMapPlan, BuildDedupesAndIndexesEdges)
     EXPECT_EQ(plan.edgeIndex(3, 1), CovMapPlan::kNone);
 
     // Successor slots mirror the edge set, kNone-padded.
-    EXPECT_EQ(plan.succ[0][0], 1u);
-    EXPECT_EQ(plan.succ[0][1], CovMapPlan::kNone);
-    EXPECT_EQ(plan.succ_edge[0][0], e01);
-    EXPECT_EQ(plan.succ[1][0], 2u);
-    EXPECT_EQ(plan.succ[1][1], 3u);
-    EXPECT_EQ(plan.succ[3][0], CovMapPlan::kNone);
+    EXPECT_EQ(plan.succ[0].to[0], 1u);
+    EXPECT_EQ(plan.succ[0].to[1], CovMapPlan::kNone);
+    EXPECT_EQ(plan.succ[0].edge[0], e01);
+    EXPECT_EQ(plan.succ[0].edge[1], CovMapPlan::kNone);
+    EXPECT_EQ(plan.succ[1].to[0], 2u);
+    EXPECT_EQ(plan.succ[1].to[1], 3u);
+    EXPECT_EQ(plan.succ[3].to[0], CovMapPlan::kNone);
 }
 
 TEST(CovShard, RecordsBlocksEdgesAndStrays)
@@ -109,6 +110,70 @@ TEST(CovShard, RecordsBlocksEdgesAndStrays)
     EXPECT_EQ(shard.strayEdges(), 1u);
     shard.recordTrace({99});
     EXPECT_EQ(shard.blockHits(5), 4u);
+}
+
+TEST(CovShard, DerivedHitsMatchPerVisitCounts)
+{
+    // Random plan (0, 1 or 2 successors per block, some pointing past
+    // the block range) and random traces with stray transitions and
+    // out-of-range ids. Blocks entered over a static edge are counted
+    // on the edge only; the derived block hits must still equal a
+    // plain per-visit count.
+    constexpr uint32_t kBlocks = 40;
+    Rng rng(5);
+    std::vector<Edge> edges;
+    for (uint32_t b = 0; b < kBlocks; ++b) {
+        const uint64_t fanout = rng.below(3);
+        for (uint64_t k = 0; k < fanout; ++k)
+            edges.emplace_back(b, static_cast<uint32_t>(rng.below(kBlocks + 4)));
+    }
+    CovMap map(CovMapPlan::build(kBlocks, edges), /*workers=*/2);
+    const CovMapPlan &plan = map.plan();
+
+    std::vector<uint64_t> want_blocks(kBlocks, 0);
+    std::vector<uint64_t> want_edges(plan.numEdges(), 0);
+    uint64_t want_stray = 0;
+    for (int t = 0; t < 300; ++t) {
+        std::vector<uint32_t> trace;
+        uint32_t at = static_cast<uint32_t>(rng.below(kBlocks));
+        for (int step = 0; step < 12; ++step) {
+            trace.push_back(at);
+            const uint64_t roll = rng.below(10);
+            const uint32_t next =
+                at < kBlocks ? plan.succ[at].to[rng.below(2)]
+                             : CovMapPlan::kNone;
+            if (roll < 7 && next != CovMapPlan::kNone)
+                at = next;  // static edge
+            else if (roll == 7)
+                at = rng.chance(0.5) ? CovMapPlan::kNone
+                                     : kBlocks + 10;  // out of range
+            else
+                at = static_cast<uint32_t>(rng.below(kBlocks));
+        }
+        for (size_t i = 0; i < trace.size(); ++i) {
+            if (trace[i] < kBlocks)
+                ++want_blocks[trace[i]];
+            if (i == 0)
+                continue;
+            const uint32_t e = plan.edgeIndex(trace[i - 1], trace[i]);
+            if (e != CovMapPlan::kNone)
+                ++want_edges[e];
+            else
+                ++want_stray;
+        }
+        map.shard(t % 2).recordTrace(trace);
+    }
+
+    EXPECT_EQ(map.mergedBlockHits(), want_blocks);
+    EXPECT_EQ(map.mergedEdgeHits(), want_edges);
+    EXPECT_EQ(map.shard(0).strayEdges() + map.shard(1).strayEdges(),
+              want_stray);
+    for (uint32_t b = 0; b < kBlocks + 2; ++b) {
+        EXPECT_EQ(map.shard(0).blockHits(b) + map.shard(1).blockHits(b),
+                  b < kBlocks ? want_blocks[b] : 0u)
+            << b;
+    }
+    EXPECT_GT(want_stray, 0u);
 }
 
 TEST(CovMap, MergeIsIndependentOfShardInterleaving)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/snowplow.h"
+#include "exec/coverage.h"
 #include "fuzz/campaign.h"
 #include "kernel/subsystems.h"
 #include "prog/gen.h"
@@ -35,8 +36,82 @@ TEST(Corpus, AdmitsOnlyNewEdgeCoverage)
     EXPECT_FALSE(corpus.maybeAdd(programs[0], first, 2));
     EXPECT_EQ(corpus.size(), 1u);
     // Coverage total reflects all merges regardless of admission.
-    EXPECT_EQ(corpus.totalCoverage().edgeCount(),
-              first.coverage.edgeCount());
+    EXPECT_EQ(corpus.edgeCount(), first.coverage.edgeCount());
+}
+
+TEST(Corpus, DenseTotalMatchesCoverageSetMerge)
+{
+    // A synthetic 48-block topology (every fifth block returns) and
+    // random traces that mostly follow it, with stray transitions and
+    // ids past the successor table mixed in. Per call, the dense
+    // total's growth and running counts must equal a reference
+    // CoverageSet merge; with no topology the corpus must agree too.
+    constexpr uint32_t kBlocks = 48;
+    std::vector<kern::StaticSuccessors> succ(kBlocks);
+    for (uint32_t b = 0; b < kBlocks; ++b) {
+        if (b % 5 == 4)
+            continue;
+        succ[b].taken = (b + 1) % kBlocks;
+        if (b % 3 != 0)
+            succ[b].fallthrough = (b + 7) % kBlocks;
+    }
+    Corpus dense(1, obs::Registry::global(), succ);
+    Corpus sideset;
+    exec::CoverageSet reference;
+    exec::DenseCoverage staged;
+    staged.bind(succ.data(), succ.size());
+    Rng rng(77);
+    prog::Prog program;
+    for (uint64_t exec = 1; exec <= 400; ++exec) {
+        // Half the results stay staged (the fast backend's hand-over),
+        // half are hash sets that may carry out-of-table ids.
+        const bool hashed = exec % 2 == 0;
+        exec::ExecResult result;
+        if (!hashed)
+            staged.beginExec();
+        for (int call = 0; call < 3; ++call) {
+            std::vector<uint32_t> trace;
+            uint32_t at = static_cast<uint32_t>(rng.below(kBlocks));
+            trace.push_back(at);
+            for (int step = 0; step < 10; ++step) {
+                const uint64_t roll = rng.below(10);
+                if (roll < 5 && succ[at].taken != kern::kNoBlock)
+                    at = succ[at].taken;
+                else if (roll < 8 && succ[at].fallthrough != kern::kNoBlock)
+                    at = succ[at].fallthrough;
+                else  // stray transition
+                    at = static_cast<uint32_t>(rng.below(kBlocks));
+                trace.push_back(at);
+            }
+            if (hashed && rng.chance(0.3))
+                trace.push_back(kBlocks + static_cast<uint32_t>(rng.below(4)));
+            if (hashed)
+                result.coverage.addTrace(trace);
+            else
+                staged.addTrace(trace.data(), trace.size());
+        }
+        if (!hashed)
+            staged.exportTo(result.coverage);
+
+        const size_t want_edges = reference.countNewEdges(result.coverage);
+        const size_t want_blocks =
+            reference.countNewBlocks(result.coverage);
+        reference.merge(result.coverage);
+        for (Corpus *corpus : {&dense, &sideset}) {
+            size_t new_edges = 0, new_blocks = 0;
+            corpus->maybeAdd(program, result, exec, &new_edges,
+                             &new_blocks);
+            EXPECT_EQ(new_edges, want_edges) << "exec " << exec;
+            EXPECT_EQ(new_blocks, want_blocks) << "exec " << exec;
+            EXPECT_EQ(corpus->edgeCount(), reference.edgeCount());
+            EXPECT_EQ(corpus->blockCount(), reference.blockCount());
+        }
+    }
+    for (uint32_t b = 0; b < kBlocks + 8; ++b) {
+        EXPECT_EQ(dense.coversBlock(b), reference.containsBlock(b)) << b;
+        EXPECT_EQ(sideset.coversBlock(b), reference.containsBlock(b)) << b;
+    }
+    EXPECT_GT(reference.blockCount(), kBlocks);  // side set exercised
 }
 
 TEST(Corpus, PickCoversWholeCorpus)

@@ -228,7 +228,7 @@ class BaseKernelTest : public ::testing::Test
         call.decl = &decl;
         call.args = prog::defaultArgs(decl);
         prog::fixupLengths(call);
-        auto slots = prog::flattenCall(call, prog::staticResolver);
+        auto slots = prog::flattenCall(call, {});
         for (auto [slot, value] : overrides)
             slots[slot] = value;
         return slots;
@@ -492,7 +492,7 @@ TEST(KernelGen, HandlersAreWellFormedDags)
         call.decl = &decl;
         call.args = prog::defaultArgs(decl);
         prog::fixupLengths(call);
-        auto slots = prog::flattenCall(call, prog::staticResolver);
+        auto slots = prog::flattenCall(call, {});
         std::vector<uint32_t> trace;
         kernel.executeCall(decl.id, slots, state, trace);
         EXPECT_GT(trace.size(), 0u);
@@ -515,7 +515,7 @@ TEST(KernelGen, NoisyModeCanVisitInterruptBlocks)
     call.decl = &other;
     call.args = prog::defaultArgs(other);
     prog::fixupLengths(call);
-    auto slots = prog::flattenCall(call, prog::staticResolver);
+    auto slots = prog::flattenCall(call, {});
 
     Rng noise(3);
     bool saw_interrupt = false;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "kernel/subsystems.h"
 #include "mutate/mutator.h"
 #include "prog/serialize.h"
@@ -196,38 +198,78 @@ TEST(Mutator, StaleLocationIsRejected)
     EXPECT_FALSE(mutator.instantiateArgMutation(base, bogus, rng));
 }
 
-TEST(Mutator, RestoringTheSiteCallUndoesAnInstantiation)
+TEST(Mutator, UndoRecordRestoresAnInstantiation)
 {
     // The campaign's argument lane mutates a scratch copy of the base
-    // in place and undoes each mutant by moving back a saved copy of
-    // the site's call. That is exact only if instantiation writes
-    // nothing outside that call.
+    // in place and undoes each mutant by replaying the instantiation's
+    // ArgUndo record. The restore must be exact for every write an
+    // instantiation makes: nested struct fields, regenerated and
+    // nulled pointees, buffer resizes with their length writes, and
+    // length fields that were stale before the mutation.
     Mutator mutator(testTable());
     Rng rng(43);
-    size_t instantiated = 0;
-    for (const auto &base : prog::generateCorpus(rng, testTable(), 64)) {
+    ArgUndo undo;
+    size_t instantiated = 0, nested = 0, ptr_nulled = 0,
+           ptr_regenerated = 0, resized_with_lengths = 0,
+           stale_restored = 0;
+    const auto corpus = prog::generateCorpus(rng, testTable(), 64);
+    for (size_t b = 0; b < corpus.size(); ++b) {
+        prog::Prog base;
+        base.calls = corpus[b].calls;
+        // Every other base carries stale lengths (each Len off by
+        // three), as a parsed or fleet-injected program may.
+        bool stale = false;
+        if (b % 2 == 1) {
+            for (auto &call : base.calls) {
+                prog::visitArgsMut(
+                    call, [&](prog::Arg &arg, const std::vector<uint16_t> &) {
+                        if (arg.type->kind == prog::TypeKind::Len) {
+                            arg.scalar += 3;
+                            stale = true;
+                        }
+                    });
+            }
+        }
+        const std::string text = prog::formatProg(base);
         prog::Prog scratch;
         scratch.calls = base.calls;
         for (const auto &loc : allArgLocations(base)) {
-            prog::Call saved = scratch.calls[loc.call_index];
-            if (mutator.instantiateArgMutation(scratch, loc, rng))
-                ++instantiated;
-            ASSERT_EQ(scratch.calls.size(), base.calls.size());
-            for (size_t i = 0; i < base.calls.size(); ++i) {
-                if (i == loc.call_index)
+            const prog::Arg &before = prog::argAtPath(
+                std::as_const(base.calls[loc.call_index]), loc.point.path);
+            for (int rep = 0; rep < 4; ++rep) {
+                if (!mutator.instantiateArgMutation(scratch, loc, rng,
+                                                    &undo)) {
+                    EXPECT_EQ(undo.target, nullptr);
                     continue;
-                prog::Prog got, want;
-                got.calls.push_back(scratch.calls[i]);
-                want.calls.push_back(base.calls[i]);
-                EXPECT_TRUE(got.equals(want))
-                    << "call " << i << " changed by a mutation of call "
-                    << loc.call_index;
+                }
+                ++instantiated;
+                ASSERT_NE(undo.target, nullptr);
+                const prog::Arg &after = *undo.target;
+                nested += loc.point.path.size() >= 3;
+                if (after.type->kind == prog::TypeKind::Ptr &&
+                    !before.is_null) {
+                    ++(after.is_null ? ptr_nulled : ptr_regenerated);
+                }
+                resized_with_lengths +=
+                    after.type->kind == prog::TypeKind::Buffer &&
+                    after.bytes.size() != before.bytes.size() &&
+                    !undo.lengths.empty();
+                stale_restored += stale && !undo.lengths.empty();
+
+                undo.restore();
+                EXPECT_EQ(undo.target, nullptr);
+                EXPECT_TRUE(undo.lengths.empty());
+                ASSERT_TRUE(scratch.equals(base));
+                ASSERT_EQ(prog::formatProg(scratch), text);
             }
-            scratch.calls[loc.call_index] = std::move(saved);
-            ASSERT_TRUE(scratch.equals(base));
         }
     }
     EXPECT_GT(instantiated, 1000u);
+    EXPECT_GT(nested, 0u);
+    EXPECT_GT(ptr_nulled, 0u);
+    EXPECT_GT(ptr_regenerated, 0u);
+    EXPECT_GT(resized_with_lengths, 0u);
+    EXPECT_GT(stale_restored, 0u);
 }
 
 TEST(Mutator, PtrMutationTogglesAndRegenerates)

@@ -205,12 +205,12 @@ TEST(Flatten, NullPtrKeepsArity)
     Call call;
     call.decl = &table.decls[1];
     call.args = defaultArgs(*call.decl);
-    const auto full = flattenCall(call, staticResolver);
+    const auto full = flattenCall(call, {});
     ASSERT_EQ(full.size(), 7u);
 
     call.args[1]->is_null = true;
     call.args[1]->pointee.reset();
-    const auto nulled = flattenCall(call, staticResolver);
+    const auto nulled = flattenCall(call, {});
     ASSERT_EQ(nulled.size(), 7u);
     EXPECT_EQ(nulled[1], 0u);  // ptr-null slot
     for (size_t i = 2; i < nulled.size(); ++i)
@@ -223,13 +223,20 @@ TEST(Flatten, ResourceResolution)
     Call call;
     call.decl = &table.decls[1];
     call.args = defaultArgs(*call.decl);
+    std::vector<uint64_t> returns(6, 0);
+    returns[5] = 777;
     call.args[0]->result_ref = 5;
-    auto values = flattenCall(
-        call, [](int32_t ref) { return ref < 0 ? kBadHandle : 777u; });
+    auto values = flattenCall(call, returns);
     EXPECT_EQ(values[0], 777u);
-    call.args[0]->result_ref = -1;
-    values = flattenCall(call, staticResolver);
+    // A ref is valid iff it indexes the table.
+    values = flattenCall(call, {returns.data(), 5});
     EXPECT_EQ(values[0], kBadHandle);
+    call.args[0]->result_ref = -1;
+    values = flattenCall(call, identityReturns(8));
+    EXPECT_EQ(values[0], kBadHandle);
+    call.args[0]->result_ref = 3;
+    values = flattenCall(call, identityReturns(8));
+    EXPECT_EQ(values[0], 3u);
 }
 
 TEST(Flatten, BufferClassChangesWithContent)
@@ -241,9 +248,9 @@ TEST(Flatten, BufferClassChangesWithContent)
     Arg &buf = *call.args[1]->pointee->fields[1];
     buf.bytes = {1, 2, 3};
     fixupLengths(call);
-    const auto v1 = flattenCall(call, staticResolver);
+    const auto v1 = flattenCall(call, {});
     buf.bytes = {9, 9, 9};
-    const auto v2 = flattenCall(call, staticResolver);
+    const auto v2 = flattenCall(call, {});
     // Same length slot, (almost surely) different class slot.
     EXPECT_EQ(v1[3], v2[3]);
     EXPECT_NE(v1[4], v2[4]);
