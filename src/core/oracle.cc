@@ -34,6 +34,10 @@ OracleLocalizer::localizeWithResult(const prog::Prog &prog,
     std::vector<mut::ArgLocation> sites;
     std::vector<double> scores;
     std::unordered_map<uint64_t, size_t> site_index;
+    const std::vector<uint32_t> covered = result.coverage.sortedBlocks();
+    auto isNew = [&covered](uint32_t block) {
+        return !std::binary_search(covered.begin(), covered.end(), block);
+    };
     for (const auto &trace : result.calls) {
         if (trace.call_index >= prog.calls.size())
             continue;
@@ -56,10 +60,8 @@ OracleLocalizer::localizeWithResult(const prog::Prog &prog,
                 break;
             }
             // Is one side of this branch on the frontier?
-            const bool taken_new =
-                !result.coverage.containsBlock(bb.taken);
-            const bool fall_new =
-                !result.coverage.containsBlock(bb.fallthrough);
+            const bool taken_new = isNew(bb.taken);
+            const bool fall_new = isNew(bb.fallthrough);
             if (!taken_new && !fall_new)
                 continue;
             // Resolve the tested slot to its owning mutable argument.

@@ -135,10 +135,7 @@ Harvester::baseEntryFor(const prog::Prog &base, uint64_t base_hash)
                                        opts_.train_fraction);
             entry->record.base_hash = base_hash;
             entry->record.text = prog::formatProg(base);
-            entry->record.blocks.assign(entry->coverage.blocks().begin(),
-                                        entry->coverage.blocks().end());
-            std::sort(entry->record.blocks.begin(),
-                      entry->record.blocks.end());
+            entry->record.blocks = entry->coverage.sortedBlocks();
             entry->record.edges = entry->coverage.edgeCount();
         }
     }

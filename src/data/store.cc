@@ -34,22 +34,13 @@ shardPath(const std::string &dir, size_t index)
     return dir + "/" + name;
 }
 
-std::vector<uint32_t>
-sortedBlocks(const exec::CoverageSet &coverage)
-{
-    std::vector<uint32_t> blocks(coverage.blocks().begin(),
-                                 coverage.blocks().end());
-    std::sort(blocks.begin(), blocks.end());
-    return blocks;
-}
-
 BaseRecord
 makeBaseRecord(const prog::Prog &base, const exec::ExecResult &result)
 {
     BaseRecord record;
     record.text = prog::formatProg(base);
     record.base_hash = fnv1a(record.text);
-    record.blocks = sortedBlocks(result.coverage);
+    record.blocks = result.coverage.sortedBlocks();
     record.edges = result.coverage.edgeCount();
     return record;
 }
@@ -211,7 +202,7 @@ loadStore(const kern::Kernel &kernel,
                           violation->c_str());
                 auto result = executor.run(*parsed.prog);
                 SP_ASSERT(
-                    sortedBlocks(result.coverage) == base.blocks &&
+                    result.coverage.sortedBlocks() == base.blocks &&
                         result.coverage.edgeCount() == base.edges,
                     "%s: re-executing base %016llx produced different "
                     "coverage — shard does not match this kernel",

@@ -1,6 +1,8 @@
 #include "exec/backend.h"
 
 #include <chrono>
+#include <unordered_set>
+#include <utility>
 
 #include "exec/arena.h"
 #include "obs/metrics.h"
@@ -38,12 +40,13 @@ parseBackendKind(const std::string &name, BackendKind *out)
 namespace {
 
 /**
- * The original interpreter: fresh KernelState per program, CoverageSet
- * hash insertion per trace element. Per-call scratch (the flattened
- * slot buffer and the return-value table) is reused across calls and
- * runs — an observable no-op that the reference loop benefits from
- * too — but the algorithm is untouched: this backend is the semantic
- * ground truth for the differential test.
+ * The original interpreter: fresh KernelState per program, hash-set
+ * dedup per trace element into the first-visit coverage vectors.
+ * Per-call scratch (the flattened slot buffer and the return-value
+ * table) is reused across calls and runs — an observable no-op that
+ * the reference loop benefits from too — but the algorithm is
+ * untouched: this backend is the semantic ground truth for the
+ * differential test.
  */
 class ReferenceBackend final : public ExecBackend
 {
@@ -60,6 +63,10 @@ class ReferenceBackend final : public ExecBackend
     {
         ExecResult result;
         kern::KernelState state = kernel_.initialState();
+        std::unordered_set<uint32_t> seen_blocks;
+        std::unordered_set<uint64_t> seen_edges;
+        std::vector<uint32_t> blocks;
+        std::vector<uint64_t> edges;
 
         rets_.assign(prog.calls.size(), prog::kBadHandle);
         result.calls.reserve(prog.calls.size());
@@ -80,7 +87,16 @@ class ReferenceBackend final : public ExecBackend
             rets_[i] = call_result.ret;
             trace.ret = call_result.ret;
             trace.crashed = call_result.crashed;
-            result.coverage.addTrace(trace.blocks);
+            const std::vector<uint32_t> &visited = trace.blocks;
+            for (size_t j = 0; j < visited.size(); ++j) {
+                if (seen_blocks.insert(visited[j]).second)
+                    blocks.push_back(visited[j]);
+                if (j + 1 < visited.size()) {
+                    const uint64_t key = edgeKey(visited[j], visited[j + 1]);
+                    if (seen_edges.insert(key).second)
+                        edges.push_back(key);
+                }
+            }
             result.calls.push_back(std::move(trace));
 
             if (call_result.crashed) {
@@ -90,6 +106,7 @@ class ReferenceBackend final : public ExecBackend
                 break;  // the "VM" is dead
             }
         }
+        result.coverage = CoverageSet(std::move(blocks), std::move(edges));
         return result;
     }
 
@@ -101,9 +118,9 @@ class ReferenceBackend final : public ExecBackend
 /**
  * The dirty-restore backend. One persistent KernelState journals every
  * mutation during a run and rolls back only the touched entries
- * afterwards; coverage dedups through the epoch-stamped dense bitmap
- * and converts to a CoverageSet once per program; all per-call scratch
- * comes from the thread-local ExecArena. Bit-identical to the
+ * afterwards; coverage dedups through the epoch-stamped dense bitmap,
+ * whose touched lists become the program's CoverageSet; all per-call
+ * scratch comes from the thread-local ExecArena. Bit-identical to the
  * reference backend by construction: the CFG walk itself is the same
  * kern::Kernel::executeCall, fed the same slots and the same noise
  * stream.
@@ -164,7 +181,8 @@ class FastBackend final : public ExecBackend
                 break;  // the "VM" is dead
             }
         }
-        coverage_.exportTo(result.coverage);
+        result.coverage = CoverageSet(coverage_.touchedBlocks(),
+                                      coverage_.touchedEdges());
         restore();
         return result;
     }

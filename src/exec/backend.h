@@ -6,7 +6,7 @@
  * pristine kernel snapshot. Two implementations ship today:
  *
  *  - Reference: the original interpreter — a fresh KernelState per
- *    program and CoverageSet hash insertion per trace element. It is
+ *    program and hash-set dedup per trace element. It is
  *    the semantic ground truth the differential test pins the fast
  *    backend against.
  *  - Fast: dirty-tracking state restore (KernelState's undo journal:

@@ -4,110 +4,6 @@
 
 namespace sp::exec {
 
-void
-CoverageSet::promote() const
-{
-    if (!staged_)
-        return;
-    staged_ = false;
-    blocks_.reserve(blocks_.size() + staged_blocks_.size());
-    edges_.reserve(edges_.size() + staged_edges_.size());
-    blocks_.insert(staged_blocks_.begin(), staged_blocks_.end());
-    edges_.insert(staged_edges_.begin(), staged_edges_.end());
-    staged_blocks_.clear();
-    staged_blocks_.shrink_to_fit();
-    staged_edges_.clear();
-    staged_edges_.shrink_to_fit();
-}
-
-void
-CoverageSet::addTrace(const std::vector<uint32_t> &trace)
-{
-    promote();
-    for (size_t i = 0; i < trace.size(); ++i) {
-        blocks_.insert(trace[i]);
-        if (i + 1 < trace.size())
-            edges_.insert(edgeKey(trace[i], trace[i + 1]));
-    }
-}
-
-void
-CoverageSet::addUnique(const std::vector<uint32_t> &blocks,
-                       const std::vector<uint64_t> &edges)
-{
-    if (!staged_ && blocks_.empty() && edges_.empty()) {
-        // Fresh set (the per-exec conversion boundary): stage only.
-        staged_blocks_ = blocks;
-        staged_edges_ = edges;
-        staged_ = !staged_blocks_.empty() || !staged_edges_.empty();
-        return;
-    }
-    promote();
-    blocks_.reserve(blocks_.size() + blocks.size());
-    edges_.reserve(edges_.size() + edges.size());
-    blocks_.insert(blocks.begin(), blocks.end());
-    edges_.insert(edges.begin(), edges.end());
-}
-
-void
-CoverageSet::merge(const CoverageSet &other)
-{
-    promote();
-    other.eachBlock([&](uint32_t b) { blocks_.insert(b); });
-    other.eachEdge([&](uint64_t e) { edges_.insert(e); });
-}
-
-size_t
-CoverageSet::countNewBlocks(const CoverageSet &other) const
-{
-    promote();
-    size_t count = 0;
-    other.eachBlock([&](uint32_t b) { count += (blocks_.count(b) == 0); });
-    return count;
-}
-
-size_t
-CoverageSet::countNewEdges(const CoverageSet &other) const
-{
-    promote();
-    size_t count = 0;
-    other.eachEdge([&](uint64_t e) { count += (edges_.count(e) == 0); });
-    return count;
-}
-
-std::vector<uint32_t>
-CoverageSet::newBlocks(const CoverageSet &other) const
-{
-    promote();
-    std::vector<uint32_t> result;
-    other.eachBlock([&](uint32_t b) {
-        if (blocks_.count(b) == 0)
-            result.push_back(b);
-    });
-    return result;
-}
-
-bool
-CoverageSet::containsBlock(uint32_t block) const
-{
-    if (staged_) {
-        return std::find(staged_blocks_.begin(), staged_blocks_.end(),
-                         block) != staged_blocks_.end();
-    }
-    return blocks_.count(block) != 0;
-}
-
-bool
-CoverageSet::containsEdge(uint32_t from, uint32_t to) const
-{
-    const uint64_t key = edgeKey(from, to);
-    if (staged_) {
-        return std::find(staged_edges_.begin(), staged_edges_.end(),
-                         key) != staged_edges_.end();
-    }
-    return edges_.count(key) != 0;
-}
-
 namespace {
 
 /** Set bit `index`; true iff it was clear. */
@@ -123,6 +19,37 @@ testAndSet(std::vector<uint64_t> &bits, size_t index)
 
 }  // namespace
 
+std::vector<uint32_t>
+CoverageSet::sortedBlocks() const
+{
+    std::vector<uint32_t> sorted(blocks_);
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+}
+
+std::vector<uint32_t>
+CoverageSet::newBlocks(const CoverageSet &other) const
+{
+    const std::vector<uint32_t> have = sortedBlocks();
+    std::vector<uint32_t> result;
+    for (uint32_t b : other.blocks_) {
+        if (!std::binary_search(have.begin(), have.end(), b))
+            result.push_back(b);
+    }
+    return result;
+}
+
+size_t
+CoverageSet::countNewEdges(const CoverageSet &other) const
+{
+    std::vector<uint64_t> have(edges_);
+    std::sort(have.begin(), have.end());
+    size_t count = 0;
+    for (uint64_t e : other.edges_)
+        count += !std::binary_search(have.begin(), have.end(), e);
+    return count;
+}
+
 CoverageTotal::CoverageTotal(std::span<const kern::StaticSuccessors> succ)
     : succ_(succ), block_bits_((succ.size() + 63) / 64, 0),
       edge_bits_((succ.size() * 2 + 63) / 64, 0)
@@ -130,16 +57,17 @@ CoverageTotal::CoverageTotal(std::span<const kern::StaticSuccessors> succ)
 }
 
 CoverageTotal::Growth
-CoverageTotal::absorb(const CoverageSet &coverage)
+CoverageTotal::absorb(std::span<const uint32_t> blocks,
+                      std::span<const uint64_t> edges)
 {
     Growth growth;
     const size_t num_blocks = succ_.size();
-    coverage.eachBlock([&](uint32_t block) {
+    for (uint32_t block : blocks) {
         growth.blocks += block < num_blocks
                              ? testAndSet(block_bits_, block)
                              : stray_blocks_.insert(block).second;
-    });
-    coverage.eachEdge([&](uint64_t key) {
+    }
+    for (uint64_t key : edges) {
         const auto from = static_cast<uint32_t>(key >> 32);
         const auto to = static_cast<uint32_t>(key);
         if (from < num_blocks && to != kern::kNoBlock) {
@@ -148,11 +76,11 @@ CoverageTotal::absorb(const CoverageSet &coverage)
                 growth.edges += testAndSet(
                     edge_bits_,
                     static_cast<size_t>(from) * 2 + (to != succ.taken));
-                return;
+                continue;
             }
         }
         growth.edges += stray_edges_.insert(key).second;
-    });
+    }
     block_count_ += growth.blocks;
     edge_count_ += growth.edges;
     return growth;

@@ -5,35 +5,22 @@
  * §5.3.1). Blocks drive the mutation-query graph and dataset targets;
  * edges are the metric the paper's Figure 6 reports.
  *
- * CoverageSet is the stable API the triage/admit pipeline consumes. It
- * has two internal representations:
- *
- *  - hash mode: unordered sets, built by addTrace()/merge(). This is
- *    the accumulating form (corpus totals, checkpoint sets) and the
- *    form every probing API answers from.
- *  - staged mode: the pre-deduplicated block/edge vectors handed over
- *    by addUnique() — the fast execution backend's conversion
- *    boundary. Staying staged makes per-exec coverage nearly free to
- *    build; the common consumers (countNewBlocks/merge iterate the
- *    *other* set; blockCount/edgeCount; containsBlock on a small set)
- *    never need the hash sets. The first call that does (blocks()/edges(),
- *    probing a staged set, addTrace on top) promotes to hash mode
- *    transparently.
- *
- * Promotion mutates under const, so a staged set must not be shared
- * across threads; hash-mode sets (anything built via addTrace/merge,
- * i.e. every accumulating set in the pipeline) are safe for concurrent
- * reads. Per-exec results live and die on one worker thread.
+ * CoverageSet is one execution's coverage, a plain value: two
+ * duplicate-free vectors, blocks and packed edge keys, each in
+ * first-visit order (the order the program's traces first reach
+ * them). Both backends emit exactly that order, and the query graph's
+ * kernel-side node order depends on it. Immutable once built, so
+ * admitted corpus entries are safe to read from every worker.
  *
  * DenseCoverage is the fast execution backend's per-exec accumulator:
  * an epoch-stamped dense bitmap sized from the kernel's static block
  * count, never cleared between execs (the epoch bump invalidates the
- * whole map in O(1)), converted into a CoverageSet once per program at
- * the API boundary.
+ * whole map in O(1)); its touched lists become the CoverageSet.
  *
- * CoverageTotal is the corpus's running union over every execution:
- * bitsets over the same dense block and static-edge index, so folding
- * one result in is a test-and-set per id of the result.
+ * CoverageTotal is the running union over many executions (the corpus
+ * total, the fleet aggregate): bitsets over the same dense block and
+ * static-edge index, so folding one result in is a test-and-set per id
+ * of the result.
  */
 #ifndef SP_EXEC_COVERAGE_H
 #define SP_EXEC_COVERAGE_H
@@ -42,6 +29,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "kernel/block.h"
@@ -55,100 +43,37 @@ edgeKey(uint32_t from, uint32_t to)
     return (static_cast<uint64_t>(from) << 32) | to;
 }
 
-/** A set of covered blocks and edges. */
+/** One execution's covered blocks and edges, in first-visit order. */
 class CoverageSet
 {
   public:
-    /**
-     * Fold one call's block trace in: every visited block, and every
-     * consecutive pair as a directed edge.
-     */
-    void addTrace(const std::vector<uint32_t> &trace);
+    CoverageSet() = default;
 
-    /**
-     * Bulk-load pre-deduplicated blocks and packed edge keys (the
-     * DenseCoverage conversion boundary). The inputs must each be
-     * duplicate-free. On an empty set this only stages the vectors —
-     * O(size) copies, no hashing; hash sets are built lazily if an
-     * API needs them.
-     */
-    void addUnique(const std::vector<uint32_t> &blocks,
-                   const std::vector<uint64_t> &edges);
+    /** Adopt `blocks` and packed `edges`; each must be duplicate-free. */
+    CoverageSet(std::vector<uint32_t> blocks, std::vector<uint64_t> edges)
+        : blocks_(std::move(blocks)), edges_(std::move(edges))
+    {
+    }
 
-    /** Merge another coverage set into this one. */
-    void merge(const CoverageSet &other);
+    const std::vector<uint32_t> &blocks() const { return blocks_; }
+    const std::vector<uint64_t> &edges() const { return edges_; }
+    size_t blockCount() const { return blocks_.size(); }
+    size_t edgeCount() const { return edges_.size(); }
 
-    /** Blocks/edges in `other` that this set lacks. */
-    size_t countNewBlocks(const CoverageSet &other) const;
-    size_t countNewEdges(const CoverageSet &other) const;
+    /** blocks() in ascending order: the one lookup a membership query
+     *  builds, probed by binary search. */
+    std::vector<uint32_t> sortedBlocks() const;
 
-    /** Blocks in `other` absent here (the paper's c_ij \ c_i). */
+    /** Blocks of `other` absent here (the paper's c_ij \ c_i), in
+     *  `other`'s order. */
     std::vector<uint32_t> newBlocks(const CoverageSet &other) const;
 
-    /** Membership probe (staged sets scan; hash sets hash). */
-    bool containsBlock(uint32_t block) const;
-    bool containsEdge(uint32_t from, uint32_t to) const;
-
-    size_t blockCount() const
-    {
-        return staged_ ? staged_blocks_.size() : blocks_.size();
-    }
-    size_t edgeCount() const
-    {
-        return staged_ ? staged_edges_.size() : edges_.size();
-    }
-    bool empty() const { return blockCount() == 0; }
-
-    /** @name Hash-set views (promote a staged set on first use) */
-    /** @{ */
-    const std::unordered_set<uint32_t> &blocks() const
-    {
-        promote();
-        return blocks_;
-    }
-    const std::unordered_set<uint64_t> &edges() const
-    {
-        promote();
-        return edges_;
-    }
-    /** @} */
-
-    /** Iterate blocks/edges in whatever mode the set is in (no
-     *  promotion; order unspecified). */
-    template <typename Fn>
-    void
-    eachBlock(Fn &&fn) const
-    {
-        if (staged_) {
-            for (uint32_t b : staged_blocks_)
-                fn(b);
-        } else {
-            for (uint32_t b : blocks_)
-                fn(b);
-        }
-    }
-    template <typename Fn>
-    void
-    eachEdge(Fn &&fn) const
-    {
-        if (staged_) {
-            for (uint64_t e : staged_edges_)
-                fn(e);
-        } else {
-            for (uint64_t e : edges_)
-                fn(e);
-        }
-    }
+    /** Number of edges of `other` absent here. */
+    size_t countNewEdges(const CoverageSet &other) const;
 
   private:
-    /** Move staged vectors into the hash sets (no-op in hash mode). */
-    void promote() const;
-
-    mutable std::unordered_set<uint32_t> blocks_;
-    mutable std::unordered_set<uint64_t> edges_;
-    mutable std::vector<uint32_t> staged_blocks_;
-    mutable std::vector<uint64_t> staged_edges_;
-    mutable bool staged_ = false;
+    std::vector<uint32_t> blocks_;
+    std::vector<uint64_t> edges_;
 };
 
 /**
@@ -179,8 +104,8 @@ class DenseCoverage
     /** Start a new exec: O(1) epoch bump, touched lists cleared. */
     void beginExec();
 
-    /** Fold one call's block trace in (same semantics as
-     *  CoverageSet::addTrace). */
+    /** Fold one call's block trace in: every visited block, and every
+     *  consecutive pair as a directed edge. */
     void addTrace(const uint32_t *trace, size_t len);
 
     /** Unique blocks touched this exec, in first-visit order. */
@@ -189,16 +114,11 @@ class DenseCoverage
         return touched_blocks_;
     }
 
-    /** Unique packed edge keys touched this exec. */
+    /** Unique packed edge keys touched this exec, in first-visit
+     *  order. */
     const std::vector<uint64_t> &touchedEdges() const
     {
         return touched_edges_;
-    }
-
-    /** Convert this exec's accumulation into the CoverageSet API. */
-    void exportTo(CoverageSet &out) const
-    {
-        out.addUnique(touched_blocks_, touched_edges_);
     }
 
   private:
@@ -212,13 +132,14 @@ class DenseCoverage
 };
 
 /**
- * Running union of many executions' coverage (the corpus total), kept
- * dense: one bit per kernel block and one per static-edge slot (block
+ * Running union of many executions' coverage (the corpus total and
+ * the fleet aggregate), kept dense: one bit per kernel block and one per static-edge slot (block
  * * 2 + successor, DenseCoverage's index). Stray edges outside the
  * static CFG, and ids beyond the successor table, go to small side
  * sets. absorb() is one test-and-set per id of the result, so its cost
  * scales with the result, never with the total. Not thread-safe: the
- * corpus serializes it under its admission lock.
+ * corpus serializes it under its admission lock, the fleet under the
+ * coordinator's.
  */
 class CoverageTotal
 {
@@ -236,8 +157,10 @@ class CoverageTotal
     /** `succ` holds one entry per block and must outlive this total. */
     explicit CoverageTotal(std::span<const kern::StaticSuccessors> succ);
 
-    /** Fold one execution's coverage in; returns what was new. */
-    Growth absorb(const CoverageSet &coverage);
+    /** Fold blocks and packed edge keys in (duplicates allowed);
+     *  returns what was new. */
+    Growth absorb(std::span<const uint32_t> blocks,
+                  std::span<const uint64_t> edges);
 
     bool containsBlock(uint32_t block) const;
     size_t blockCount() const { return block_count_; }

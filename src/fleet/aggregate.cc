@@ -13,6 +13,7 @@ FleetAggregate::FleetAggregate(const kern::Kernel &kernel,
                                bool covmap_enabled)
     : kernel_(kernel),
       crashes_(kernel),
+      coverage_(kernel.successorTable()),
       covmap_enabled_(covmap_enabled),
       plan_(covmap_enabled
                 ? obs::CovMapPlan::build(kernel.blocks().size(),
@@ -38,10 +39,7 @@ FleetAggregate::merge(const LeaseResultMsg &result)
             continue;
         }
         ++outcome.new_programs;
-        for (const uint32_t block : program.blocks)
-            blocks_.insert(block);
-        for (const uint64_t edge : program.edges)
-            edges_.insert(edge);
+        coverage_.absorb(program.blocks, program.edges);
         seed_pool_.push_back(program.text);
         if (seed_pool_.size() > kSeedPoolCap)
             seed_pool_.pop_front();

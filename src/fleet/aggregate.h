@@ -7,6 +7,8 @@
  *
  *  - programs are content-addressed by the FNV-1a of their formatProg
  *    text (data::progKey's identity), so a re-sent program is a no-op;
+ *    their blocks and edges fold into an exec::CoverageTotal, the
+ *    union type the campaign corpus keeps too;
  *  - crashes dedup through fuzz::CrashLog's bug-index key — the same
  *    path a single-process campaign uses — so no crash exists twice
  *    fleet-wide;
@@ -28,6 +30,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "exec/coverage.h"
 #include "fleet/wire.h"
 #include "fuzz/crash.h"
 #include "obs/covmap.h"
@@ -57,8 +60,8 @@ class FleetAggregate
     /** @name Global coverage / corpus / crash views */
     /** @{ */
     size_t corpusSize() const { return program_keys_.size(); }
-    size_t edgeCount() const { return edges_.size(); }
-    size_t blockCount() const { return blocks_.size(); }
+    size_t edgeCount() const { return coverage_.edgeCount(); }
+    size_t blockCount() const { return coverage_.blockCount(); }
     size_t uniqueCrashes() const { return crashes_.uniqueCrashes(); }
     const fuzz::CrashLog &crashes() const { return crashes_; }
     /** @} */
@@ -98,8 +101,7 @@ class FleetAggregate
 
     std::unordered_set<uint64_t> program_keys_;
     std::deque<std::string> seed_pool_;  ///< admitted texts, oldest first
-    std::unordered_set<uint32_t> blocks_;
-    std::unordered_set<uint64_t> edges_;
+    exec::CoverageTotal coverage_;  ///< union of admitted programs
 
     bool covmap_enabled_;
     obs::CovMapPlan plan_;

@@ -116,12 +116,8 @@ runLease(const kern::Kernel &kernel, const HelloAckMsg &cfg,
             continue;
         WireProgram program;
         program.text = prog::formatProg(entry.program);
-        const auto &coverage = entry.result.coverage;
-        program.blocks.assign(coverage.blocks().begin(),
-                              coverage.blocks().end());
-        program.edges.assign(coverage.edges().begin(),
-                             coverage.edges().end());
-        std::sort(program.blocks.begin(), program.blocks.end());
+        program.blocks = entry.result.coverage.sortedBlocks();
+        program.edges = entry.result.coverage.edges();
         std::sort(program.edges.begin(), program.edges.end());
         result.programs.push_back(std::move(program));
     }

@@ -458,19 +458,22 @@ seedStage(WorkerEnv &env, const kern::Kernel &kernel)
 }
 
 /** The staged mutation pipeline; returns when the budget is spent or
- *  the campaign's stop predicate fires. */
+ *  the campaign's stop predicate fires. Arrives at `started` once its
+ *  trace ring is labelled and waits there for every other worker. */
 void
-workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
+workerLoop(WorkerEnv &env, const kern::Kernel &kernel,
+           std::latch &started)
 {
+    if (obs::traceEnabled() || obs::introspectionEnabled()) {
+        obs::setRingLabel("worker" +
+                          std::to_string(env.worker_id));
+    }
+    started.arrive_and_wait();
     const auto loop_start = std::chrono::steady_clock::now();
     CampaignShared &shared = *env.shared;
     const FuzzOptions &opts = *shared.opts;
     BudgetLedger &ledger = *shared.ledger;
     mut::ArgUndo undo;  // reused by every argument-lane mutant
-    if (obs::traceEnabled() || obs::introspectionEnabled()) {
-        obs::setRingLabel("worker" +
-                          std::to_string(env.worker_id));
-    }
 
     while (!ledger.exhausted() && !shared.stopped()) {
         if (shared.corpus->empty()) {
@@ -494,22 +497,17 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
 
         // Schedule stage: the policy picks the base entry and
         // arbitrates this round's localization channel. The base
-        // program is read in place: Corpus::pick's reference stays
-        // valid for the whole campaign (deque storage) and admitted
-        // programs are never written again. The base result is copied:
-        // its CoverageSet may still be staged, and the first blocks()
-        // or edges() read (a learned localizer's query) promotes it
-        // under const, which must not happen on a set other workers
-        // read too.
+        // program and result are read in place: Corpus::pick's
+        // reference stays valid for the whole campaign (deque storage)
+        // and admitted entries are never written again.
         Decision decision;
-        exec::ExecResult base_result;
         {
             boardStage(env, obs::WorkerStage::Schedule);
             obs::TraceSpan span(obs::SpanKind::Schedule);
             decision = shared.policy->decide(ctx, *env.rng);
-            base_result = decision.seed->result;
         }
         const prog::Prog &base_program = decision.seed->program;
+        const exec::ExecResult &base_result = decision.seed->result;
 
         // Localize stage. The localizer reports which channel
         // *actually* answered (an async model can be forced onto the
@@ -835,20 +833,21 @@ CampaignEngine::runUntil(const StopPredicate &stop)
     seedStage(envs[0], kernel_);
 
     // Mutation stages: workers 1..N-1 on threads, worker 0 here (a
-    // 1-worker campaign therefore never spawns a thread). Worker 0
-    // holds until every spawned worker is running, so a small budget
-    // is not drained before the others reach their first round.
+    // 1-worker campaign therefore never spawns a thread). No worker
+    // starts its rounds until every worker has labelled its trace ring:
+    // the first thread up cannot drain a small budget before the
+    // others exist, and no worker's ring is recycled to one that
+    // starts later. It does not promise that every worker runs a
+    // round before the budget is spent.
     std::vector<std::thread> threads;
     threads.reserve(opts_.workers - 1);
-    std::latch spawned_running(static_cast<ptrdiff_t>(opts_.workers - 1));
+    std::latch started(static_cast<ptrdiff_t>(opts_.workers));
     for (size_t w = 1; w < opts_.workers; ++w) {
-        threads.emplace_back([this, &envs, &spawned_running, w] {
-            spawned_running.count_down();
-            workerLoop(envs[w], kernel_);
+        threads.emplace_back([this, &envs, &started, w] {
+            workerLoop(envs[w], kernel_, started);
         });
     }
-    spawned_running.wait();
-    workerLoop(envs[0], kernel_);
+    workerLoop(envs[0], kernel_, started);
     for (auto &thread : threads)
         thread.join();
 

@@ -29,8 +29,8 @@ Corpus::maybeAdd(const prog::Prog &program, const exec::ExecResult &result,
             admit_contention_.inc();
             lock.lock();
         }
-        const exec::CoverageTotal::Growth growth =
-            total_.absorb(result.coverage);
+        const exec::CoverageTotal::Growth growth = total_.absorb(
+            result.coverage.blocks(), result.coverage.edges());
         new_edges = growth.edges;
         new_blocks = growth.blocks;
         edge_count_.store(total_.edgeCount(), std::memory_order_release);

@@ -30,16 +30,18 @@ std::vector<uint32_t>
 alternativeFrontier(const kern::Kernel &kernel,
                     const exec::CoverageSet &cov)
 {
-    std::unordered_set<uint32_t> frontier;
+    const std::vector<uint32_t> covered = cov.sortedBlocks();
+    std::vector<uint32_t> frontier;
     for (uint32_t block : cov.blocks()) {
         for (uint32_t succ : kernel.successors(block)) {
-            if (!cov.containsBlock(succ))
-                frontier.insert(succ);
+            if (!std::binary_search(covered.begin(), covered.end(), succ))
+                frontier.push_back(succ);
         }
     }
-    std::vector<uint32_t> result(frontier.begin(), frontier.end());
-    std::sort(result.begin(), result.end());
-    return result;
+    std::sort(frontier.begin(), frontier.end());
+    frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                   frontier.end());
+    return frontier;
 }
 
 QueryGraph
@@ -158,11 +160,16 @@ buildQueryGraph(const kern::Kernel &kernel, const prog::Prog &prog,
                                    EdgeKind::CoveredFlow});
     }
 
-    // Alternatives: one-hop not-taken successors.
+    // Alternatives: one-hop not-taken successors. Every covered block
+    // already has its Covered node and this loop adds only Alternative
+    // ones, so the block-node map answers "is it covered?".
     for (uint32_t covered : result.coverage.blocks()) {
         for (uint32_t succ : kernel.successors(covered)) {
-            if (result.coverage.containsBlock(succ))
+            const auto it = node_of_block.find(succ);
+            if (it != node_of_block.end() &&
+                graph.nodes[it->second].kind == NodeKind::Covered) {
                 continue;
+            }
             graph.edges.push_back(
                 Edge{blockNode(covered, NodeKind::Covered),
                      blockNode(succ, NodeKind::Alternative),

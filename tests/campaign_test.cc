@@ -8,8 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 
+#include "core/directed.h"
 #include "core/snowplow.h"
 #include "fuzz/campaign.h"
 #include "kernel/subsystems.h"
@@ -212,12 +214,17 @@ TEST(ShardedCorpus, ConcurrentAdmissionKeepsCountsConsistent)
     EXPECT_EQ(corpus.size(), admitted.load());
     // The aggregate is the union of every result, whatever the
     // admission interleaving.
-    exec::CoverageSet reference;
-    for (const auto &thread_results : results)
-        for (const auto &result : thread_results)
-            reference.merge(result.coverage);
-    EXPECT_EQ(corpus.edgeCount(), reference.edgeCount());
-    EXPECT_EQ(corpus.blockCount(), reference.blockCount());
+    std::set<uint32_t> union_blocks;
+    std::set<uint64_t> union_edges;
+    for (const auto &thread_results : results) {
+        for (const auto &result : thread_results) {
+            const auto &cov = result.coverage;
+            union_blocks.insert(cov.blocks().begin(), cov.blocks().end());
+            union_edges.insert(cov.edges().begin(), cov.edges().end());
+        }
+    }
+    EXPECT_EQ(corpus.edgeCount(), union_edges.size());
+    EXPECT_EQ(corpus.blockCount(), union_blocks.size());
     ASSERT_GT(corpus.size(), 0u);
     // Every admitted entry is reachable through the global index.
     for (size_t i = 0; i < corpus.size(); ++i)
@@ -379,6 +386,28 @@ TEST(CampaignEngine, SchedulerSeamIsHonored)
     const auto report = engine->run();
     EXPECT_GT(scheduler->picks.load(), 10u);
     EXPECT_EQ(report.execs, campaign_opts.fuzz.exec_budget);
+}
+
+TEST(CampaignEngine, DistanceSchedulerIsSafeAcrossWorkers)
+{
+    // Four workers share one distance scheduler, which reads the
+    // coverage of every corpus entry while other workers read the same
+    // entries and admit new ones (run under TSan in CI; the budget is
+    // large enough that the workers' rounds overlap).
+    const auto &kernel = testKernel();
+    const std::vector<uint32_t> targets = {
+        static_cast<uint32_t>(kernel.blocks().size() / 2)};
+    CampaignOptions campaign_opts;
+    campaign_opts.workers = 4;
+    campaign_opts.fuzz = smallCampaign(17);
+    campaign_opts.fuzz.exec_budget = 4000;
+    campaign_opts.fuzz.scheduler =
+        core::makeDistanceScheduler(kernel, targets);
+
+    auto engine = core::makeSyzkallerCampaign(kernel, campaign_opts);
+    const auto report = engine->run();
+    EXPECT_EQ(report.execs, campaign_opts.fuzz.exec_budget);
+    EXPECT_GT(report.corpus_size, 0u);
 }
 
 TEST(CampaignEngine, ConcurrentCampaignsCountIntoTheirOwnMetrics)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "exec/arena.h"
@@ -140,10 +141,12 @@ TEST(KernelStateJournal, ReleaseOfJournaledAllocIsUndone)
     EXPECT_EQ(state.liveCount(), 0u);
 }
 
-TEST(DenseCoverage, MatchesCoverageSetOnRandomTraces)
+TEST(DenseCoverage, TouchedListsAreFirstVisitOrder)
 {
     // One synthetic 8-block topology; traces follow the static
-    // successors with occasional stray transitions.
+    // successors with occasional stray transitions. The touched lists
+    // must equal a set-deduplicated first-visit fold, element for
+    // element.
     const size_t blocks = 8;
     std::vector<DenseCoverage::Successors> succ(blocks);
     for (uint32_t b = 0; b < blocks; ++b) {
@@ -156,7 +159,10 @@ TEST(DenseCoverage, MatchesCoverageSetOnRandomTraces)
     Rng rng(99);
     for (int exec = 0; exec < 50; ++exec) {
         dense.beginExec();
-        CoverageSet expect;
+        std::set<uint32_t> seen_blocks;
+        std::set<uint64_t> seen_edges;
+        std::vector<uint32_t> expect_blocks;
+        std::vector<uint64_t> expect_edges;
         for (int call = 0; call < 4; ++call) {
             std::vector<uint32_t> trace;
             uint32_t at = static_cast<uint32_t>(rng.next() % blocks);
@@ -172,12 +178,18 @@ TEST(DenseCoverage, MatchesCoverageSetOnRandomTraces)
                 trace.push_back(at);
             }
             dense.addTrace(trace.data(), trace.size());
-            expect.addTrace(trace);
+            for (size_t i = 0; i < trace.size(); ++i) {
+                if (seen_blocks.insert(trace[i]).second)
+                    expect_blocks.push_back(trace[i]);
+                if (i + 1 == trace.size())
+                    continue;
+                const uint64_t key = edgeKey(trace[i], trace[i + 1]);
+                if (seen_edges.insert(key).second)
+                    expect_edges.push_back(key);
+            }
         }
-        CoverageSet got;
-        dense.exportTo(got);
-        EXPECT_EQ(got.blocks(), expect.blocks());
-        EXPECT_EQ(got.edges(), expect.edges());
+        EXPECT_EQ(dense.touchedBlocks(), expect_blocks);
+        EXPECT_EQ(dense.touchedEdges(), expect_edges);
     }
 }
 

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "exec/executor.h"
 #include "kernel/subsystems.h"
 #include "prog/flatten.h"
@@ -32,30 +36,65 @@ makeCall(const prog::SyscallDecl &decl)
     return call;
 }
 
-TEST(CoverageSet, TraceAddsBlocksAndEdges)
+/**
+ * The coverage of `traces` folded in call order: every block and every
+ * consecutive pair as an edge, each kept at its first visit.
+ */
+CoverageSet
+firstVisitCoverage(const std::vector<CallTrace> &traces)
 {
-    CoverageSet cov;
-    cov.addTrace({1, 2, 3, 2});
-    EXPECT_EQ(cov.blockCount(), 3u);
-    EXPECT_EQ(cov.edgeCount(), 3u);  // 1->2, 2->3, 3->2
-    EXPECT_TRUE(cov.containsBlock(3));
-    EXPECT_TRUE(cov.containsEdge(3, 2));
-    EXPECT_FALSE(cov.containsEdge(2, 1));
+    std::set<uint32_t> seen_blocks;
+    std::set<uint64_t> seen_edges;
+    std::vector<uint32_t> blocks;
+    std::vector<uint64_t> edges;
+    for (const CallTrace &trace : traces) {
+        for (size_t i = 0; i < trace.blocks.size(); ++i) {
+            if (seen_blocks.insert(trace.blocks[i]).second)
+                blocks.push_back(trace.blocks[i]);
+            if (i + 1 == trace.blocks.size())
+                continue;
+            const uint64_t key = edgeKey(trace.blocks[i], trace.blocks[i + 1]);
+            if (seen_edges.insert(key).second)
+                edges.push_back(key);
+        }
+    }
+    return CoverageSet(std::move(blocks), std::move(edges));
 }
 
-TEST(CoverageSet, MergeAndNewCounts)
+TEST(CoverageSet, NewBlocksAndEdgesComeFromTheOtherSet)
 {
-    CoverageSet a, b;
-    a.addTrace({1, 2});
-    b.addTrace({2, 3});
-    EXPECT_EQ(a.countNewBlocks(b), 1u);
+    const CoverageSet a({1, 2}, {edgeKey(1, 2)});
+    const CoverageSet b({3, 2, 5}, {edgeKey(3, 2), edgeKey(1, 2)});
+    EXPECT_EQ(b.blockCount(), 3u);
+    EXPECT_EQ(b.edgeCount(), 2u);
+    // In `b`'s order, not sorted.
+    EXPECT_EQ(a.newBlocks(b), (std::vector<uint32_t>{3, 5}));
     EXPECT_EQ(a.countNewEdges(b), 1u);
-    auto fresh = a.newBlocks(b);
-    ASSERT_EQ(fresh.size(), 1u);
-    EXPECT_EQ(fresh[0], 3u);
-    a.merge(b);
-    EXPECT_EQ(a.blockCount(), 3u);
-    EXPECT_EQ(a.countNewBlocks(b), 0u);
+    EXPECT_TRUE(b.newBlocks(b).empty());
+    EXPECT_EQ(b.countNewEdges(b), 0u);
+}
+
+TEST(Executor, CoverageIsTheFirstVisitOrderOfTheTraces)
+{
+    // Both backends emit each block and edge once, at its first visit
+    // in call order; the query graph's node order relies on it.
+    auto &kernel = testKernel();
+    Rng rng(31);
+    auto corpus = prog::generateCorpus(rng, kernel.table(), 40);
+    for (const BackendKind kind : {BackendKind::Reference,
+                                   BackendKind::Fast}) {
+        ExecOptions opts;
+        opts.backend = kind;
+        Executor executor(kernel, opts);
+        for (const auto &prog : corpus) {
+            const ExecResult result = executor.run(prog);
+            const CoverageSet expect = firstVisitCoverage(result.calls);
+            EXPECT_EQ(result.coverage.blocks(), expect.blocks())
+                << backendKindName(kind);
+            EXPECT_EQ(result.coverage.edges(), expect.edges())
+                << backendKindName(kind);
+        }
+    }
 }
 
 TEST(Executor, ResourceFlowsAcrossCalls)
@@ -147,7 +186,7 @@ TEST(Executor, NoisyModeEventuallyDiverges)
         auto a = executor.run(prog);
         auto b = executor.run(prog);
         if (a.coverage.blockCount() != b.coverage.blockCount() ||
-            a.coverage.countNewBlocks(b.coverage) != 0) {
+            !a.coverage.newBlocks(b.coverage).empty()) {
             diverged = true;
             break;
         }
@@ -184,8 +223,8 @@ TEST(Executor, CoverageGrowsWithBetterArguments)
         kern::kOCreat | kern::kOTrunc | kern::kOAppend;
     auto better_result = executor.run(better);
 
-    EXPECT_GT(base_result.coverage.countNewBlocks(better_result.coverage),
-              0u);
+    EXPECT_FALSE(
+        base_result.coverage.newBlocks(better_result.coverage).empty());
 }
 
 }  // namespace

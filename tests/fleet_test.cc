@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -521,6 +522,65 @@ TEST(FleetAggregateTest, MergeDedupsReplayedResults)
     EXPECT_EQ(twice.corpusSize(), once.corpusSize());
     EXPECT_EQ(twice.uniqueCrashes(), once.uniqueCrashes());
     EXPECT_EQ(twice.blockHits(), once.blockHits());
+}
+
+TEST(FleetAggregateTest, CoverageIsTheSetUnionOfAdmittedPrograms)
+{
+    // Programs as nodes send them, plus what an untrusted node might:
+    // repeated ids within one program, edges outside the static CFG,
+    // and block ids past the kernel's block count. The aggregate's
+    // counts must equal a std::set union over the admitted programs; a
+    // re-sent program text adds nothing, whatever coverage it carries.
+    const kern::Kernel kernel = testKernel();
+    const auto &succ = kernel.successorTable();
+    const auto num_blocks = static_cast<uint32_t>(succ.size());
+    FleetAggregate aggregate(kernel, false);
+    std::set<uint32_t> union_blocks;
+    std::set<uint64_t> union_edges;
+    std::set<std::string> admitted_texts;
+    Rng rng(91);
+    for (uint64_t lease = 1; lease <= 40; ++lease) {
+        LeaseResultMsg msg;
+        msg.lease_id = lease;
+        for (int p = 0; p < 3; ++p) {
+            WireProgram program;
+            // Every fourth program re-sends an earlier text.
+            const uint64_t id = (lease * 3 + p) % 4 == 0
+                                    ? rng.below(lease * 3)
+                                    : lease * 3 + p;
+            program.text = "program " + std::to_string(id);
+            for (int i = 0; i < 12; ++i) {
+                const uint32_t from =
+                    static_cast<uint32_t>(rng.below(num_blocks + 6));
+                program.blocks.push_back(from);
+                if (rng.chance(0.2))
+                    program.blocks.push_back(from);  // repeated id
+                uint32_t to = static_cast<uint32_t>(rng.below(num_blocks));
+                if (from < num_blocks && rng.chance(0.7)) {
+                    to = rng.chance(0.5) ? succ[from].taken
+                                         : succ[from].fallthrough;
+                }
+                program.edges.push_back(exec::edgeKey(from, to));
+            }
+            program.edges.push_back(program.edges.front());
+            msg.programs.push_back(std::move(program));
+        }
+        const uint64_t before = aggregate.corpusSize();
+        const MergeOutcome outcome = aggregate.merge(msg);
+        EXPECT_EQ(aggregate.corpusSize(), before + outcome.new_programs);
+        // The admitted programs are the ones whose text was new.
+        for (const WireProgram &program : msg.programs) {
+            if (admitted_texts.insert(program.text).second) {
+                union_blocks.insert(program.blocks.begin(),
+                                    program.blocks.end());
+                union_edges.insert(program.edges.begin(),
+                                   program.edges.end());
+            }
+        }
+        EXPECT_EQ(aggregate.blockCount(), union_blocks.size());
+        EXPECT_EQ(aggregate.edgeCount(), union_edges.size());
+    }
+    EXPECT_GT(*union_blocks.rbegin(), num_blocks);  // side set exercised
 }
 
 TEST(FleetAggregateTest, MergeRejectsHostileIndices)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "core/snowplow.h"
 #include "exec/coverage.h"
 #include "fuzz/campaign.h"
@@ -39,13 +42,13 @@ TEST(Corpus, AdmitsOnlyNewEdgeCoverage)
     EXPECT_EQ(corpus.edgeCount(), first.coverage.edgeCount());
 }
 
-TEST(Corpus, DenseTotalMatchesCoverageSetMerge)
+TEST(Corpus, DenseTotalMatchesSetUnion)
 {
     // A synthetic 48-block topology (every fifth block returns) and
     // random traces that mostly follow it, with stray transitions and
-    // ids past the successor table mixed in. Per call, the dense
-    // total's growth and running counts must equal a reference
-    // CoverageSet merge; with no topology the corpus must agree too.
+    // ids past the successor table mixed in. Per result, the dense
+    // total's growth and running counts must equal a std::set union;
+    // with no topology the corpus must agree too.
     constexpr uint32_t kBlocks = 48;
     std::vector<kern::StaticSuccessors> succ(kBlocks);
     for (uint32_t b = 0; b < kBlocks; ++b) {
@@ -57,18 +60,16 @@ TEST(Corpus, DenseTotalMatchesCoverageSetMerge)
     }
     Corpus dense(1, obs::Registry::global(), succ);
     Corpus sideset;
-    exec::CoverageSet reference;
-    exec::DenseCoverage staged;
-    staged.bind(succ.data(), succ.size());
+    std::set<uint32_t> union_blocks;
+    std::set<uint64_t> union_edges;
     Rng rng(77);
     prog::Prog program;
     for (uint64_t exec = 1; exec <= 400; ++exec) {
-        // Half the results stay staged (the fast backend's hand-over),
-        // half are hash sets that may carry out-of-table ids.
-        const bool hashed = exec % 2 == 0;
-        exec::ExecResult result;
-        if (!hashed)
-            staged.beginExec();
+        // One result: its blocks and edges deduplicated at first visit.
+        std::set<uint32_t> seen_blocks;
+        std::set<uint64_t> seen_edges;
+        std::vector<uint32_t> blocks;
+        std::vector<uint64_t> edges;
         for (int call = 0; call < 3; ++call) {
             std::vector<uint32_t> trace;
             uint32_t at = static_cast<uint32_t>(rng.below(kBlocks));
@@ -83,35 +84,43 @@ TEST(Corpus, DenseTotalMatchesCoverageSetMerge)
                     at = static_cast<uint32_t>(rng.below(kBlocks));
                 trace.push_back(at);
             }
-            if (hashed && rng.chance(0.3))
+            if (rng.chance(0.15))
                 trace.push_back(kBlocks + static_cast<uint32_t>(rng.below(4)));
-            if (hashed)
-                result.coverage.addTrace(trace);
-            else
-                staged.addTrace(trace.data(), trace.size());
+            for (size_t i = 0; i < trace.size(); ++i) {
+                if (seen_blocks.insert(trace[i]).second)
+                    blocks.push_back(trace[i]);
+                if (i + 1 == trace.size())
+                    continue;
+                const uint64_t key = exec::edgeKey(trace[i], trace[i + 1]);
+                if (seen_edges.insert(key).second)
+                    edges.push_back(key);
+            }
         }
-        if (!hashed)
-            staged.exportTo(result.coverage);
+        size_t want_blocks = 0, want_edges = 0;
+        for (uint32_t b : blocks)
+            want_blocks += union_blocks.insert(b).second;
+        for (uint64_t e : edges)
+            want_edges += union_edges.insert(e).second;
 
-        const size_t want_edges = reference.countNewEdges(result.coverage);
-        const size_t want_blocks =
-            reference.countNewBlocks(result.coverage);
-        reference.merge(result.coverage);
+        exec::ExecResult result;
+        result.coverage =
+            exec::CoverageSet(std::move(blocks), std::move(edges));
         for (Corpus *corpus : {&dense, &sideset}) {
             size_t new_edges = 0, new_blocks = 0;
             corpus->maybeAdd(program, result, exec, &new_edges,
                              &new_blocks);
             EXPECT_EQ(new_edges, want_edges) << "exec " << exec;
             EXPECT_EQ(new_blocks, want_blocks) << "exec " << exec;
-            EXPECT_EQ(corpus->edgeCount(), reference.edgeCount());
-            EXPECT_EQ(corpus->blockCount(), reference.blockCount());
+            EXPECT_EQ(corpus->edgeCount(), union_edges.size());
+            EXPECT_EQ(corpus->blockCount(), union_blocks.size());
         }
     }
     for (uint32_t b = 0; b < kBlocks + 8; ++b) {
-        EXPECT_EQ(dense.coversBlock(b), reference.containsBlock(b)) << b;
-        EXPECT_EQ(sideset.coversBlock(b), reference.containsBlock(b)) << b;
+        EXPECT_EQ(dense.coversBlock(b), union_blocks.count(b) != 0) << b;
+        EXPECT_EQ(sideset.coversBlock(b), union_blocks.count(b) != 0)
+            << b;
     }
-    EXPECT_GT(reference.blockCount(), kBlocks);  // side set exercised
+    EXPECT_GT(union_blocks.size(), kBlocks);  // side set exercised
 }
 
 TEST(Corpus, PickCoversWholeCorpus)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "exec/executor.h"
@@ -86,10 +87,11 @@ TEST(QueryGraph, AlternativeFrontierIsOneHopAndUncovered)
     const auto &kernel = testKernel();
     auto frontier = alternativeFrontier(kernel, built.result.coverage);
     ASSERT_FALSE(frontier.empty());
+    const auto &blocks = built.result.coverage.blocks();
     for (uint32_t block : frontier) {
-        EXPECT_FALSE(built.result.coverage.containsBlock(block));
+        EXPECT_EQ(std::count(blocks.begin(), blocks.end(), block), 0);
         bool adjacent = false;
-        for (uint32_t covered : built.result.coverage.blocks()) {
+        for (uint32_t covered : blocks) {
             for (uint32_t succ : kernel.successors(covered))
                 adjacent |= (succ == block);
         }
