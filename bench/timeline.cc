@@ -37,7 +37,8 @@ benchKernel()
     return kernel;
 }
 
-/** A representative tick: covmap summary + a dozen active arms. */
+/** A representative tick: a campaign's covmap summary (full
+ *  top_frontier, as CovMap hands it over) + a dozen active arms. */
 obs::TimelineTick
 sampleTick(uint64_t execs)
 {
@@ -47,12 +48,17 @@ sampleTick(uint64_t execs)
     tick.blocks = 280;
     tick.crashes = 4;
     tick.corpus_size = 120;
-    tick.have_cov = true;
-    tick.cov_blocks_hit = 280;
-    tick.cov_edges_hit = 320;
-    tick.cov_total_block_hits = 40000 + execs;
-    tick.cov_frontier_size = 40;
-    tick.cov_stray_edges = 60;
+    obs::CovSummary cov;
+    cov.execs = execs;
+    cov.windows = execs / 625;
+    cov.blocks_hit = 280;
+    cov.edges_hit = 320;
+    cov.total_block_hits = 40000 + execs;
+    cov.frontier_size = 40;
+    cov.stray_edges = 60;
+    for (uint32_t i = 0; i < obs::CovMap::kSummaryFrontierCap; ++i)
+        cov.top_frontier.push_back({300 + i, 100 + i, 900 - i});
+    tick.cov = std::move(cov);
     tick.have_policy = true;
     tick.policy_name = "thompson";
     tick.pmm_share = 0.35;

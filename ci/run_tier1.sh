@@ -28,7 +28,8 @@
 #      the merged fleet timeline must be regression-free vs the
 #      committed BENCH_timeline.json; coordinator /status and /metrics
 #      validated against fleet_status.schema.json and the [fleet]
-#      section of metrics.required.txt
+#      section of metrics.required.txt, /coverage against stage 5's
+#      coverage.schema.json
 #  11  AddressSanitizer + UndefinedBehaviorSanitizer pass over the full
 #      ctest
 #  12  compile check: the campaign benchmark (perfbench/, which also
@@ -292,7 +293,8 @@ def get(path):
 with open("ci/schemas/status.schema.json") as f:
     schema = json.load(f)
 
-TYPES = {"int": int, "str": str, "list": list, "dict": dict}
+TYPES = {"int": int, "str": str, "list": list, "dict": dict,
+         "bool": bool}
 
 def check(obj, spec, where):
     for key, type_name in spec.items():
@@ -334,19 +336,30 @@ if get("/healthz").strip() != "ok":
 
 # /coverage serves the frozen end-of-campaign covmap summary while the
 # process idles in --status-hold.
+with open("ci/schemas/coverage.schema.json") as f:
+    cov_schema = json.load(f)
+
+def check_coverage(coverage):
+    def shape(obj, spec, where):
+        for key, type_name in spec.items():
+            if key not in obj:
+                sys.exit(f"/coverage: {where} missing key {key!r}")
+            value = obj[key]
+            if not isinstance(value, TYPES[type_name]) or (
+                    type_name == "int" and isinstance(value, bool)):
+                sys.exit(f"/coverage: {where}.{key} is not {type_name}")
+    shape(coverage, cov_schema["required"], "top level")
+    if coverage["enabled"] is not True:
+        sys.exit("/coverage: not enabled")
+    if len(coverage["frontier"]) > coverage["frontier_size"]:
+        sys.exit("/coverage: more frontier entries than frontier_size")
+    for i, entry in enumerate(coverage["frontier"]):
+        shape(entry, cov_schema["frontier_entry"], f"frontier[{i}]")
+
 coverage = json.loads(get("/coverage"))
-if coverage.get("enabled") is not True:
-    sys.exit("/coverage: not enabled despite --covmap-out")
-for key in ("execs", "windows", "blocks_hit", "edges_hit",
-            "frontier_size", "frontier"):
-    if key not in coverage:
-        sys.exit(f"/coverage: missing key {key!r}")
+check_coverage(coverage)
 if coverage["execs"] < 5000 or coverage["blocks_hit"] <= 0:
     sys.exit(f"/coverage: implausible summary: {coverage}")
-for entry in coverage["frontier"]:
-    for key in ("target", "guard", "guard_hits"):
-        if key not in entry:
-            sys.exit(f"/coverage: frontier entry missing {key!r}")
 
 # /timeline serves the recorder's recent-sample window (frozen at
 # end-of-campaign while the process idles in --status-hold).
@@ -803,8 +816,9 @@ PY
 # compare` against the committed single-process BENCH_timeline.json
 # and must come back regression-free. The coordinator's /status and
 # /metrics are validated against ci/schemas/fleet_status.schema.json
-# and the [fleet] section of metrics.required.txt while the process
-# idles in --status-hold.
+# and the [fleet] section of metrics.required.txt, and its /coverage
+# against ci/schemas/coverage.schema.json (the campaign's shape), while
+# the process idles in --status-hold.
 fleet_tl=$(mktemp /tmp/sp_ci_fleettl.XXXXXX.jsonl)
 fleet_cmp=$(mktemp /tmp/sp_ci_fleetcmp.XXXXXX.json)
 trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_live" "$tl_live" "$tl_fresh" "$tl_thompson" "$tl_cov" "$cmp_base" "$cmp_policy" "$fleet_tl" "$fleet_cmp"; rm -rf "$store_dir"' EXIT
@@ -894,8 +908,30 @@ if campaign["nodes_seen"] < 4 or campaign["leases_reclaimed"] < 1:
 if campaign["edges"] <= 0 or campaign["corpus_size"] <= 0:
     sys.exit(f"/status: empty merged aggregate: {campaign}")
 
+# The fleet's /coverage has the campaign's shape (stage 5's schema).
+with open("ci/schemas/coverage.schema.json") as f:
+    cov_schema = json.load(f)
+
+def check_coverage(coverage):
+    def shape(obj, spec, where):
+        for key, type_name in spec.items():
+            if key not in obj:
+                sys.exit(f"/coverage: {where} missing key {key!r}")
+            value = obj[key]
+            if not isinstance(value, TYPES[type_name]) or (
+                    type_name == "int" and isinstance(value, bool)):
+                sys.exit(f"/coverage: {where}.{key} is not {type_name}")
+    shape(coverage, cov_schema["required"], "top level")
+    if coverage["enabled"] is not True:
+        sys.exit("/coverage: not enabled")
+    if len(coverage["frontier"]) > coverage["frontier_size"]:
+        sys.exit("/coverage: more frontier entries than frontier_size")
+    for i, entry in enumerate(coverage["frontier"]):
+        shape(entry, cov_schema["frontier_entry"], f"frontier[{i}]")
+
 coverage = json.loads(get("/coverage"))
-if coverage.get("enabled") is not True or coverage.get("execs", 0) < 6000:
+check_coverage(coverage)
+if coverage["execs"] < 6000 or coverage["blocks_hit"] <= 0:
     sys.exit(f"/coverage: implausible fleet summary: {coverage}")
 
 metrics = get("/metrics")

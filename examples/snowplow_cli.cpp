@@ -324,7 +324,9 @@ cmdFuzz(const Args &args)
             SP_FATAL("cannot open --covmap-out %s", path.c_str());
         campaign_opts.fuzz.covmap = covmap.get();
         obs::setCoverageProvider(
-            [cm = covmap.get()] { return cm->summaryJson(); });
+            [cm = covmap.get()] {
+                return obs::summaryJson(cm->plan(), cm->summary());
+            });
     }
 
     // --timeline-out FILE.jsonl: one metric/coverage/policy sample per
@@ -435,9 +437,11 @@ cmdFuzz(const Args &args)
         // The covmap dies with this frame but /coverage may be scraped
         // through --status-hold: freeze the final summary into the
         // provider (mirrors the campaign's status ProviderGuard).
-        obs::setCoverageProvider(
-            [frozen = covmap->summaryJson()] { return frozen; });
         const auto summary = covmap->summary();
+        obs::setCoverageProvider(
+            [frozen = obs::summaryJson(covmap->plan(), summary)] {
+                return frozen;
+            });
         std::printf("covmap: %zu blocks, %zu edges, %zu frontier "
                     "targets, %llu windows -> %s\n",
                     summary.blocks_hit, summary.edges_hit,
@@ -687,13 +691,13 @@ cmdAnalyze(const Args &args)
     // count, and attribution is skipped rather than fabricated.
     auto kernel = makeKernel(args);
     const kern::Kernel *attribution = &kernel;
-    if (kernel.blocks().size() != profile.num_blocks) {
+    if (kernel.blocks().size() != profile.plan.num_blocks) {
         std::fprintf(stderr,
                      "warning: rebuilt kernel has %zu blocks but the "
                      "log has %zu — pass the campaign's --seed/"
                      "--version/--evolution; skipping subsystem "
                      "attribution\n",
-                     kernel.blocks().size(), profile.num_blocks);
+                     kernel.blocks().size(), profile.plan.num_blocks);
         attribution = nullptr;
     }
 

@@ -42,7 +42,7 @@ cell(double v)
     return buf;
 }
 
-/** Copy the tick-core + cov + policy facts of one record. */
+/** Copy the tick-core + policy facts of one record. */
 void
 readTickFacts(const json::Value &record, TimelineLogSample &sample)
 {
@@ -56,19 +56,6 @@ readTickFacts(const json::Value &record, TimelineLogSample &sample)
         sample.crashes = v->asUint();
     if (const json::Value *v = record.find("corpus"))
         sample.corpus = v->asUint();
-    if (const json::Value *cov = record.find("cov")) {
-        sample.have_cov = true;
-        if (const json::Value *v = cov->find("blocks_hit"))
-            sample.cov_blocks_hit = v->asUint();
-        if (const json::Value *v = cov->find("edges_hit"))
-            sample.cov_edges_hit = v->asUint();
-        if (const json::Value *v = cov->find("total_block_hits"))
-            sample.cov_total_block_hits = v->asUint();
-        if (const json::Value *v = cov->find("frontier_size"))
-            sample.cov_frontier_size = v->asUint();
-        if (const json::Value *v = cov->find("stray_edges"))
-            sample.cov_stray_edges = v->asUint();
-    }
     if (const json::Value *policy = record.find("policy")) {
         sample.have_policy = true;
         if (const json::Value *v = policy->find("name"))

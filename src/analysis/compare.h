@@ -40,13 +40,6 @@ struct TimelineLogSample
     uint64_t crashes = 0;
     uint64_t corpus = 0;
 
-    bool have_cov = false;
-    uint64_t cov_blocks_hit = 0;
-    uint64_t cov_edges_hit = 0;
-    uint64_t cov_total_block_hits = 0;
-    uint64_t cov_frontier_size = 0;
-    uint64_t cov_stray_edges = 0;
-
     bool have_policy = false;
     std::string policy_name;
     double pmm_share = 0.0;

@@ -80,8 +80,7 @@ CovProfile::load(const std::string &path)
                 profile.error = "covmap_header missing fields";
                 return profile;
             }
-            profile.num_blocks =
-                static_cast<size_t>(num_blocks->asUint());
+            std::vector<std::pair<uint32_t, uint32_t>> header_edges;
             for (const json::Value &edge : edges->array()) {
                 const json::Value *from = edge.at(0);
                 const json::Value *to = edge.at(1);
@@ -89,12 +88,19 @@ CovProfile::load(const std::string &path)
                     profile.error = "malformed header edge";
                     return profile;
                 }
-                profile.edges.emplace_back(
+                header_edges.emplace_back(
                     static_cast<uint32_t>(from->asUint()),
                     static_cast<uint32_t>(to->asUint()));
             }
-            profile.block_hits.assign(profile.num_blocks, 0);
-            profile.edge_hits.assign(profile.edges.size(), 0);
+            profile.plan = obs::CovMapPlan::build(
+                static_cast<size_t>(num_blocks->asUint()), header_edges);
+            // Edge deltas index the writer's dense order, which is the
+            // plan's: a header in any other order cannot be replayed.
+            if (profile.plan.edges != header_edges) {
+                profile.error = "covmap_header edges not sorted and unique";
+                return profile;
+            }
+            profile.counts = obs::CovCounts(profile.plan);
             continue;
         }
 
@@ -115,16 +121,16 @@ CovProfile::load(const std::string &path)
             }
             if (const json::Value *v = record.find("block_deltas")) {
                 window.block_hit_delta = applyDeltas(
-                    *v, profile.block_hits, profile.error, "block");
+                    *v, profile.counts.blocks, profile.error, "block");
             }
             if (const json::Value *v = record.find("edge_deltas"))
-                applyDeltas(*v, profile.edge_hits, profile.error,
+                applyDeltas(*v, profile.counts.edges, profile.error,
                             "edge");
             if (!profile.ok())
                 return profile;
             if (const json::Value *v = record.find("stray_edges")) {
                 window.stray_edges = v->asUint();
-                profile.stray_edges += window.stray_edges;
+                profile.counts.stray += window.stray_edges;
             }
             if (const json::Value *v = record.find("blocks_hit"))
                 window.blocks_hit = v->asUint();
@@ -206,9 +212,8 @@ std::vector<FrontierTarget>
 frontierTargets(const CovProfile &profile, const kern::Kernel *kernel,
                 size_t cap)
 {
-    const obs::CovMapPlan plan = profile.plan();
     const auto entries =
-        obs::computeFrontier(plan, profile.block_hits, cap);
+        obs::computeFrontier(profile.plan, profile.counts.blocks, cap);
 
     std::vector<std::string> subsystems;
     if (kernel != nullptr)
@@ -273,12 +278,12 @@ subsystemHeat(const CovProfile &profile, const kern::Kernel &kernel,
     const auto by_block = blockSubsystems(kernel);
     std::map<std::string, SubsystemHeat> groups;
     const size_t limit =
-        std::min(profile.block_hits.size(), by_block.size());
+        std::min(profile.counts.blocks.size(), by_block.size());
     for (size_t b = 0; b < limit; ++b) {
         SubsystemHeat &group = groups[by_block[b]];
         group.name = by_block[b];
         ++group.blocks;
-        const uint64_t hits = profile.block_hits[b];
+        const uint64_t hits = profile.counts.blocks[b];
         group.total_hits += hits;
         switch (heatOf(hits, thresholds)) {
         case Heat::Unreached: break;

@@ -51,13 +51,10 @@ struct WindowRecord
 /** A snapshot log folded back into the final merged map. */
 struct CovProfile
 {
-    size_t num_blocks = 0;
-    /** Static edges in the log header's dense order. */
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
-    /** Cumulative hit counts reconstructed from the window deltas. */
-    std::vector<uint64_t> block_hits;
-    std::vector<uint64_t> edge_hits;
-    uint64_t stray_edges = 0;
+    /** The header's geometry; its dense edge order is the log's. */
+    obs::CovMapPlan plan;
+    /** Cumulative counts reconstructed from the window deltas. */
+    obs::CovCounts counts;
     uint64_t execs = 0;
     std::vector<WindowRecord> windows;
     /** The parsed covmap_header line (campaign fields like "kernel"
@@ -69,12 +66,6 @@ struct CovProfile
 
     /** Parse a JSONL snapshot log; on failure `error` says why. */
     static CovProfile load(const std::string &path);
-
-    /** The plan implied by the header (for frontier computation). */
-    obs::CovMapPlan plan() const
-    {
-        return obs::CovMapPlan::build(num_blocks, edges);
-    }
 };
 
 /** Heat band of one block. */

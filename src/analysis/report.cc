@@ -16,10 +16,14 @@ analyze(CovProfile profile, const kern::Kernel *kernel,
 {
     Analysis analysis;
     analysis.profile = std::move(profile);
-    if (!analysis.profile.ok())
+    const CovProfile &loaded = analysis.profile;
+    if (!loaded.ok())
         return analysis;
-    analysis.thresholds = heatThresholds(analysis.profile.block_hits);
-    for (const uint64_t hits : analysis.profile.block_hits) {
+    analysis.summary =
+        obs::summarize(loaded.plan, loaded.counts, loaded.execs,
+                       loaded.windows.size(), target_cap);
+    analysis.thresholds = heatThresholds(loaded.counts.blocks);
+    for (const uint64_t hits : loaded.counts.blocks) {
         ++analysis.band_counts[static_cast<size_t>(
             heatOf(hits, analysis.thresholds))];
     }
@@ -37,23 +41,18 @@ std::string
 reportJson(const Analysis &analysis, const std::string &source_path)
 {
     const CovProfile &profile = analysis.profile;
+    const obs::CovSummary &summary = analysis.summary;
     std::string out;
     out.reserve(1024);
     out += "{\"type\":\"covmap_report\",\"version\":1,\"source\":";
     out += jsonQuote(source_path);
-    out += ",\"execs\":" + std::to_string(profile.execs);
-    out += ",\"windows\":" + std::to_string(profile.windows.size());
-    out += ",\"blocks_total\":" + std::to_string(profile.num_blocks);
-    size_t blocks_hit = 0;
-    for (const uint64_t hits : profile.block_hits)
-        blocks_hit += hits != 0;
-    size_t edges_hit = 0;
-    for (const uint64_t hits : profile.edge_hits)
-        edges_hit += hits != 0;
-    out += ",\"blocks_hit\":" + std::to_string(blocks_hit);
-    out += ",\"edges_total\":" + std::to_string(profile.edges.size());
-    out += ",\"edges_hit\":" + std::to_string(edges_hit);
-    out += ",\"stray_edges\":" + std::to_string(profile.stray_edges);
+    out += ",\"execs\":" + std::to_string(summary.execs);
+    out += ",\"windows\":" + std::to_string(summary.windows);
+    out += ",\"blocks_total\":" + std::to_string(profile.plan.num_blocks);
+    out += ",\"blocks_hit\":" + std::to_string(summary.blocks_hit);
+    out += ",\"edges_total\":" + std::to_string(profile.plan.numEdges());
+    out += ",\"edges_hit\":" + std::to_string(summary.edges_hit);
+    out += ",\"stray_edges\":" + std::to_string(summary.stray_edges);
 
     out += ",\"heat\":{\"cold_max\":";
     out += std::to_string(analysis.thresholds.cold_max);
@@ -121,21 +120,15 @@ std::string
 reportText(const Analysis &analysis, const std::string &source_path)
 {
     const CovProfile &profile = analysis.profile;
+    const obs::CovSummary &summary = analysis.summary;
     std::ostringstream out;
     out << "coverage cartography: " << source_path << "\n";
-    out << "  execs " << profile.execs << ", windows "
-        << profile.windows.size() << "\n";
-
-    size_t blocks_hit = 0;
-    for (const uint64_t hits : profile.block_hits)
-        blocks_hit += hits != 0;
-    size_t edges_hit = 0;
-    for (const uint64_t hits : profile.edge_hits)
-        edges_hit += hits != 0;
-    out << "  blocks " << blocks_hit << "/" << profile.num_blocks
-        << " reached, edges " << edges_hit << "/"
-        << profile.edges.size() << ", stray " << profile.stray_edges
+    out << "  execs " << summary.execs << ", windows " << summary.windows
         << "\n";
+    out << "  blocks " << summary.blocks_hit << "/"
+        << profile.plan.num_blocks << " reached, edges "
+        << summary.edges_hit << "/" << profile.plan.numEdges()
+        << ", stray " << summary.stray_edges << "\n";
     const auto band = [&analysis](Heat heat) {
         return analysis.band_counts[static_cast<size_t>(heat)];
     };

@@ -20,6 +20,8 @@ namespace sp::analysis {
 struct Analysis
 {
     CovProfile profile;
+    /** obs::summarize of the profile's final counts. */
+    obs::CovSummary summary;
     HeatThresholds thresholds;
     /** Blocks per heat band, indexed by static_cast<size_t>(Heat). */
     size_t band_counts[4] = {0, 0, 0, 0};

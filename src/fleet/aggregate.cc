@@ -1,6 +1,7 @@
 #include "fleet/aggregate.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "kernel/kernel.h"
 #include "prog/serialize.h"
@@ -8,6 +9,21 @@
 #include "util/hash.h"
 
 namespace sp::fleet {
+
+namespace {
+
+/** Add an untrusted delta into a running total unless it would wrap;
+ *  false when the delta was dropped. */
+bool
+addNoWrap(uint64_t &total, uint64_t delta)
+{
+    if (delta > UINT64_MAX - total)
+        return false;
+    total += delta;
+    return true;
+}
+
+}  // namespace
 
 FleetAggregate::FleetAggregate(const kern::Kernel &kernel,
                                bool covmap_enabled)
@@ -18,10 +34,9 @@ FleetAggregate::FleetAggregate(const kern::Kernel &kernel,
       plan_(covmap_enabled
                 ? obs::CovMapPlan::build(kernel.blocks().size(),
                                          kernel.staticEdges())
-                : obs::CovMapPlan{})
+                : obs::CovMapPlan{}),
+      cov_(plan_)
 {
-    block_hits_.assign(plan_.num_blocks, 0);
-    edge_hits_.assign(plan_.numEdges(), 0);
 }
 
 MergeOutcome
@@ -61,28 +76,35 @@ FleetAggregate::merge(const LeaseResultMsg &result)
 
     if (covmap_enabled_ && result.have_cov) {
         for (const auto &[index, delta] : result.block_deltas) {
-            if (index < block_hits_.size())
-                block_hits_[index] += delta;
+            if (index < cov_.blocks.size())
+                addNoWrap(cov_.blocks[index], delta);
         }
         for (const auto &[index, delta] : result.edge_deltas) {
-            if (index < edge_hits_.size())
-                edge_hits_[index] += delta;
+            if (index < cov_.edges.size())
+                addNoWrap(cov_.edges[index], delta);
         }
-        stray_edges_ += result.stray_edges;
+        addNoWrap(cov_.stray, result.stray_edges);
         ++cov_windows_;
     }
 
-    if (result.have_policy) {
+    // The wire carries raw double bits: a share outside [0, 1] (NaN
+    // included) would poison pmmShare() and the /status JSON it feeds.
+    // Such a push, or one whose execs would wrap the weight total, is
+    // dropped whole.
+    const bool share_ok = std::isfinite(result.pmm_share) &&
+                          result.pmm_share >= 0.0 &&
+                          result.pmm_share <= 1.0;
+    if (result.have_policy && share_ok &&
+        addNoWrap(pmm_share_execs_, result.execs)) {
         if (policy_name_.empty())
             policy_name_ = result.policy_name;
         for (const WireArm &arm : result.arms) {
             auto &[pulls, wins] = posterior_[arm.arm];
-            pulls += arm.pulls;
-            wins += arm.wins;
+            addNoWrap(pulls, arm.pulls);
+            addNoWrap(wins, arm.wins);
         }
         pmm_share_weighted_ +=
             result.pmm_share * static_cast<double>(result.execs);
-        pmm_share_execs_ += result.execs;
     }
 
     return outcome;
@@ -100,24 +122,10 @@ FleetAggregate::seedBatch(size_t max) const
 }
 
 obs::CovSummary
-FleetAggregate::covSummary(uint64_t execs, size_t cap) const
+FleetAggregate::covSummary(uint64_t execs) const
 {
-    obs::CovSummary summary;
-    summary.execs = execs;
-    summary.windows = cov_windows_;
-    for (const uint64_t hits : block_hits_) {
-        summary.blocks_hit += hits != 0;
-        summary.total_block_hits += hits;
-    }
-    for (const uint64_t hits : edge_hits_)
-        summary.edges_hit += hits != 0;
-    summary.stray_edges = stray_edges_;
-    auto frontier = obs::computeFrontier(plan_, block_hits_, 0);
-    summary.frontier_size = frontier.size();
-    if (cap != 0 && frontier.size() > cap)
-        frontier.resize(cap);
-    summary.top_frontier = std::move(frontier);
-    return summary;
+    return obs::summarize(plan_, cov_, execs, cov_windows_,
+                          obs::CovMap::kSummaryFrontierCap);
 }
 
 std::string
@@ -125,43 +133,7 @@ FleetAggregate::coverageJson(uint64_t execs) const
 {
     if (!covmap_enabled_)
         return "{\"enabled\":false}";
-    const obs::CovSummary snap =
-        covSummary(execs, obs::CovMap::kSummaryFrontierCap);
-    std::string out;
-    out.reserve(256);
-    out += "{\"enabled\":true,\"execs\":";
-    out += std::to_string(snap.execs);
-    out += ",\"windows\":";
-    out += std::to_string(snap.windows);
-    out += ",\"blocks_total\":";
-    out += std::to_string(plan_.num_blocks);
-    out += ",\"blocks_hit\":";
-    out += std::to_string(snap.blocks_hit);
-    out += ",\"edges_total\":";
-    out += std::to_string(plan_.numEdges());
-    out += ",\"edges_hit\":";
-    out += std::to_string(snap.edges_hit);
-    out += ",\"total_block_hits\":";
-    out += std::to_string(snap.total_block_hits);
-    out += ",\"stray_edges\":";
-    out += std::to_string(snap.stray_edges);
-    out += ",\"frontier_size\":";
-    out += std::to_string(snap.frontier_size);
-    out += ",\"frontier\":[";
-    for (size_t i = 0; i < snap.top_frontier.size(); ++i) {
-        const obs::FrontierEntry &entry = snap.top_frontier[i];
-        if (i != 0)
-            out += ',';
-        out += "{\"target\":";
-        out += std::to_string(entry.target);
-        out += ",\"guard\":";
-        out += std::to_string(entry.guard);
-        out += ",\"guard_hits\":";
-        out += std::to_string(entry.guard_hits);
-        out += '}';
-    }
-    out += "]}";
-    return out;
+    return obs::summaryJson(plan_, covSummary(execs));
 }
 
 double
@@ -171,20 +143,6 @@ FleetAggregate::pmmShare() const
                ? 0.0
                : pmm_share_weighted_ /
                      static_cast<double>(pmm_share_execs_);
-}
-
-uint64_t
-FleetAggregate::posteriorPulls(uint32_t arm) const
-{
-    const auto it = posterior_.find(arm);
-    return it == posterior_.end() ? 0 : it->second.first;
-}
-
-uint64_t
-FleetAggregate::posteriorWins(uint32_t arm) const
-{
-    const auto it = posterior_.find(arm);
-    return it == posterior_.end() ? 0 : it->second.second;
 }
 
 std::vector<WireArm>

@@ -12,10 +12,16 @@
  *  - crashes dedup through fuzz::CrashLog's bug-index key — the same
  *    path a single-process campaign uses — so no crash exists twice
  *    fleet-wide;
- *  - covmap deltas are additive per block/edge index and posterior
- *    deltas additive per arm, so the aggregate is independent of node
- *    count and arrival order (the lease-grid analog of the worker-
- *    shard merge discipline covmap_test/policy_test pin).
+ *  - covmap deltas add into one obs::CovCounts — the merged hit state
+ *    a campaign's CovMap keeps — summarized by obs::summarize and
+ *    served by obs::summaryJson, exactly as a single-process campaign's
+ *    /coverage is; posterior deltas add per arm. Both sums are
+ *    independent of node count and arrival order (the lease-grid
+ *    analog of the worker-shard merge discipline covmap_test/
+ *    policy_test pin);
+ *  - numbers from a node are untrusted: an out-of-range index, a count
+ *    delta that would wrap its running total, and a posterior push
+ *    whose pmm_share is not a finite share in [0, 1] are dropped.
  *
  * Not thread-safe: the coordinator serializes merges, exactly like
  * the campaign engine's in-order checkpoint owner.
@@ -69,17 +75,14 @@ class FleetAggregate
     /** Up to `max` most recently admitted program texts. */
     std::vector<std::string> seedBatch(size_t max) const;
 
-    /** @name Covmap aggregate (lease-grid merged hit maps) */
+    /** @name Covmap aggregate (lease-grid merged hit counts) */
     /** @{ */
     bool covmapEnabled() const { return covmap_enabled_; }
-    const std::vector<uint64_t> &blockHits() const { return block_hits_; }
-    const std::vector<uint64_t> &edgeHits() const { return edge_hits_; }
-    uint64_t strayEdges() const { return stray_edges_; }
-    uint64_t covWindows() const { return cov_windows_; }
-    /** The merged summary at virtual time `execs` (frontier ranked by
-     *  obs::computeFrontier — identical ordering to a local covmap). */
-    obs::CovSummary covSummary(uint64_t execs, size_t cap) const;
-    /** The /coverage JSON payload (CovMap::summaryJson's shape). */
+    const obs::CovCounts &covCounts() const { return cov_; }
+    /** obs::summarize of the merged counts at virtual time `execs`,
+     *  one window per merged lease result. */
+    obs::CovSummary covSummary(uint64_t execs) const;
+    /** The /coverage JSON payload (obs::summaryJson). */
     std::string coverageJson(uint64_t execs) const;
     /** @} */
 
@@ -89,8 +92,6 @@ class FleetAggregate
     const std::string &policyName() const { return policy_name_; }
     /** Execs-weighted mean of node-reported model shares. */
     double pmmShare() const;
-    uint64_t posteriorPulls(uint32_t arm) const;
-    uint64_t posteriorWins(uint32_t arm) const;
     /** Arms with nonzero pulls, ascending arm id (tick payload). */
     std::vector<WireArm> posteriorArms() const;
     /** @} */
@@ -105,9 +106,7 @@ class FleetAggregate
 
     bool covmap_enabled_;
     obs::CovMapPlan plan_;
-    std::vector<uint64_t> block_hits_;
-    std::vector<uint64_t> edge_hits_;
-    uint64_t stray_edges_ = 0;
+    obs::CovCounts cov_;
     uint64_t cov_windows_ = 0;
 
     std::string policy_name_;

@@ -177,34 +177,6 @@ Coordinator::stats() const
     return out;
 }
 
-std::vector<uint64_t>
-Coordinator::covBlockHits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return aggregate_.blockHits();
-}
-
-std::vector<uint64_t>
-Coordinator::covEdgeHits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return aggregate_.edgeHits();
-}
-
-uint64_t
-Coordinator::posteriorPulls(uint32_t arm) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return aggregate_.posteriorPulls(arm);
-}
-
-uint64_t
-Coordinator::posteriorWins(uint32_t arm) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return aggregate_.posteriorWins(arm);
-}
-
 size_t
 Coordinator::timelineSamples() const
 {
@@ -601,16 +573,8 @@ Coordinator::buildTickLocked(uint64_t execs) const
     tick.blocks = aggregate_.blockCount();
     tick.crashes = aggregate_.uniqueCrashes();
     tick.corpus_size = aggregate_.corpusSize();
-    if (aggregate_.covmapEnabled()) {
-        const obs::CovSummary cov = aggregate_.covSummary(
-            execs, obs::CovMap::kSummaryFrontierCap);
-        tick.have_cov = true;
-        tick.cov_blocks_hit = cov.blocks_hit;
-        tick.cov_edges_hit = cov.edges_hit;
-        tick.cov_total_block_hits = cov.total_block_hits;
-        tick.cov_frontier_size = cov.frontier_size;
-        tick.cov_stray_edges = cov.stray_edges;
-    }
+    if (aggregate_.covmapEnabled())
+        tick.cov = aggregate_.covSummary(execs);
     if (aggregate_.havePolicy()) {
         tick.have_policy = true;
         tick.policy_name = aggregate_.policyName();

@@ -134,18 +134,18 @@ runLease(const kern::Kernel &kernel, const HelloAckMsg &cfg,
     }
 
     if (covmap != nullptr) {
+        // run() finalized the covmap: merged() is the whole lease.
+        const obs::CovCounts counts = covmap->merged();
         result.have_cov = true;
-        const std::vector<uint64_t> blocks = covmap->mergedBlockHits();
-        for (uint32_t i = 0; i < blocks.size(); ++i) {
-            if (blocks[i] != 0)
-                result.block_deltas.emplace_back(i, blocks[i]);
+        for (uint32_t i = 0; i < counts.blocks.size(); ++i) {
+            if (counts.blocks[i] != 0)
+                result.block_deltas.emplace_back(i, counts.blocks[i]);
         }
-        const std::vector<uint64_t> edges = covmap->mergedEdgeHits();
-        for (uint32_t i = 0; i < edges.size(); ++i) {
-            if (edges[i] != 0)
-                result.edge_deltas.emplace_back(i, edges[i]);
+        for (uint32_t i = 0; i < counts.edges.size(); ++i) {
+            if (counts.edges[i] != 0)
+                result.edge_deltas.emplace_back(i, counts.edges[i]);
         }
-        result.stray_edges = covmap->summary().stray_edges;
+        result.stray_edges = counts.stray;
     }
 
     if (const fuzz::DecisionPolicy *policy = engine->policy()) {

@@ -184,6 +184,8 @@ struct WireArm
     uint32_t arm = 0;
     uint64_t pulls = 0;
     uint64_t wins = 0;
+
+    bool operator==(const WireArm &) const = default;
 };
 
 /** Everything one lease produced, pushed as a single atomic message. */

@@ -160,7 +160,7 @@ microsSince(std::chrono::steady_clock::time_point start)
 /**
  * One timeline tick: a checkpoint's campaign facts plus the merged
  * covmap summary and policy posterior (both nullable). The fuzz layer
- * owns this mapping so obs::TimelineTick stays plain fields.
+ * owns this mapping so obs::TimelineTick stays free of policy types.
  */
 obs::TimelineTick
 makeTimelineTick(const Checkpoint &cp, size_t corpus_size,
@@ -173,15 +173,8 @@ makeTimelineTick(const Checkpoint &cp, size_t corpus_size,
     tick.blocks = cp.blocks;
     tick.crashes = cp.crashes;
     tick.corpus_size = corpus_size;
-    if (covmap != nullptr) {
-        const obs::CovSummary cov = covmap->summary();
-        tick.have_cov = true;
-        tick.cov_blocks_hit = cov.blocks_hit;
-        tick.cov_edges_hit = cov.edges_hit;
-        tick.cov_total_block_hits = cov.total_block_hits;
-        tick.cov_frontier_size = cov.frontier_size;
-        tick.cov_stray_edges = cov.stray_edges;
-    }
+    if (covmap != nullptr)
+        tick.cov = covmap->summary();
     if (policy != nullptr) {
         tick.have_policy = true;
         tick.policy_name = policy->name();

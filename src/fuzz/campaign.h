@@ -178,7 +178,7 @@ struct FuzzReport
  * base, which the worker turns back into the base right after the
  * callback: it has the base's call count and differs from `*base` at
  * most in call `site->call_index`. `base` points into the picked
- * corpus entry, `base_result` to the worker's copy of its result. The
+ * corpus entry, `base_result` to that entry's result. The
  * callback runs on the worker thread inside the execute stage, so
  * observers must be cheap and thread-safe (multiple workers call
  * concurrently); anything expensive belongs on the observer's own

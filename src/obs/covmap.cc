@@ -143,37 +143,13 @@ CovShard::recordTrace(const std::vector<uint32_t> &blocks)
     }
 }
 
-uint64_t
-CovShard::blockHits(uint32_t block) const
-{
-    const CovMapPlan &plan = *plan_;
-    if (block >= plan.num_blocks)
-        return 0;
-    uint64_t hits = block_hits_[block].load(std::memory_order_relaxed);
-    for (uint32_t e = 0; e < plan.numEdges(); ++e) {
-        if (plan.edges[e].second == block)
-            hits += edge_hits_[e].load(std::memory_order_relaxed);
-    }
-    return hits;
-}
-
-uint64_t
-CovShard::edgeHits(uint32_t edge) const
-{
-    return edge < plan_->numEdges()
-               ? edge_hits_[edge].load(std::memory_order_relaxed)
-               : 0;
-}
-
 CovMap::CovMap(CovMapPlan plan, size_t workers)
-    : plan_(std::move(plan))
+    : plan_(std::move(plan)), merged_(plan_)
 {
     SP_ASSERT(workers > 0, "covmap needs at least one shard");
     shards_.reserve(workers);
     for (size_t w = 0; w < workers; ++w)
         shards_.emplace_back(new CovShard(&plan_));
-    merged_blocks_.assign(plan_.num_blocks, 0);
-    merged_edges_.assign(plan_.numEdges(), 0);
 }
 
 CovMap::~CovMap()
@@ -217,30 +193,29 @@ CovMap::openLog(const std::string &path,
     return true;
 }
 
-void
-CovMap::foldShards(std::vector<uint64_t> &blocks,
-                   std::vector<uint64_t> &edges, uint64_t &stray) const
+CovCounts
+CovMap::foldShards() const
 {
-    blocks.assign(plan_.num_blocks, 0);
-    edges.assign(plan_.numEdges(), 0);
-    stray = 0;
+    CovCounts counts(plan_);
     for (const auto &shard : shards_) {
         for (size_t i = 0; i < plan_.num_blocks; ++i) {
-            blocks[i] += shard->block_hits_[i].load(
+            counts.blocks[i] += shard->block_hits_[i].load(
                 std::memory_order_relaxed);
         }
         for (size_t i = 0; i < plan_.numEdges(); ++i) {
-            edges[i] +=
+            counts.edges[i] +=
                 shard->edge_hits_[i].load(std::memory_order_relaxed);
         }
-        stray += shard->stray_edges_.load(std::memory_order_relaxed);
+        counts.stray +=
+            shard->stray_edges_.load(std::memory_order_relaxed);
     }
     // Shards count a visit over a static edge on the edge alone.
     for (size_t e = 0; e < plan_.numEdges(); ++e) {
         const uint32_t to = plan_.edges[e].second;
         if (to < plan_.num_blocks)
-            blocks[to] += edges[e];
+            counts.blocks[to] += counts.edges[e];
     }
+    return counts;
 }
 
 std::vector<FrontierEntry>
@@ -278,8 +253,69 @@ computeFrontier(const CovMapPlan &plan,
     return frontier;
 }
 
+CovSummary
+summarize(const CovMapPlan &plan, const CovCounts &counts, uint64_t execs,
+          uint64_t windows, size_t cap)
+{
+    CovSummary summary;
+    summary.execs = execs;
+    summary.windows = windows;
+    for (const uint64_t hits : counts.blocks) {
+        summary.blocks_hit += hits != 0;
+        summary.total_block_hits += hits;
+    }
+    for (const uint64_t hits : counts.edges)
+        summary.edges_hit += hits != 0;
+    summary.stray_edges = counts.stray;
+    summary.top_frontier = computeFrontier(plan, counts.blocks, 0);
+    summary.frontier_size = summary.top_frontier.size();
+    if (cap > 0 && summary.top_frontier.size() > cap)
+        summary.top_frontier.resize(cap);
+    return summary;
+}
+
+std::string
+summaryJson(const CovMapPlan &plan, const CovSummary &summary)
+{
+    std::string out;
+    out.reserve(256);
+    out += "{\"enabled\":true,\"execs\":";
+    out += std::to_string(summary.execs);
+    out += ",\"windows\":";
+    out += std::to_string(summary.windows);
+    out += ",\"blocks_total\":";
+    out += std::to_string(plan.num_blocks);
+    out += ",\"blocks_hit\":";
+    out += std::to_string(summary.blocks_hit);
+    out += ",\"edges_total\":";
+    out += std::to_string(plan.numEdges());
+    out += ",\"edges_hit\":";
+    out += std::to_string(summary.edges_hit);
+    out += ",\"total_block_hits\":";
+    out += std::to_string(summary.total_block_hits);
+    out += ",\"stray_edges\":";
+    out += std::to_string(summary.stray_edges);
+    out += ",\"frontier_size\":";
+    out += std::to_string(summary.frontier_size);
+    out += ",\"frontier\":[";
+    for (size_t i = 0; i < summary.top_frontier.size(); ++i) {
+        const FrontierEntry &entry = summary.top_frontier[i];
+        if (i != 0)
+            out += ',';
+        out += "{\"target\":";
+        out += std::to_string(entry.target);
+        out += ",\"guard\":";
+        out += std::to_string(entry.guard);
+        out += ",\"guard_hits\":";
+        out += std::to_string(entry.guard_hits);
+        out += '}';
+    }
+    out += "]}";
+    return out;
+}
+
 void
-CovMap::mergeLocked(uint64_t execs, bool emit_window, Registry &metrics)
+CovMap::mergeLocked(uint64_t execs, Registry &metrics)
 {
     // Wall-clock merge cost is telemetry, not campaign state: gate it
     // like every SP_TIMED span so sink-less runs keep the registry
@@ -287,79 +323,52 @@ CovMap::mergeLocked(uint64_t execs, bool emit_window, Registry &metrics)
     const bool timed = timingEnabled();
     const uint64_t start_us = timed ? monotonicMicros() : 0;
 
-    std::vector<uint64_t> blocks, edges;
-    uint64_t stray = 0;
-    foldShards(blocks, edges, stray);
+    CovCounts now = foldShards();
+    CovSummary summary = summarize(plan_, now, execs, summary_.windows + 1,
+                                   kSummaryFrontierCap);
 
-    std::vector<uint32_t> new_blocks;
-    size_t blocks_hit = 0;
-    uint64_t total_hits = 0;
-    for (uint32_t b = 0; b < blocks.size(); ++b) {
-        total_hits += blocks[b];
-        if (blocks[b] != 0) {
-            ++blocks_hit;
-            if (merged_blocks_[b] == 0)
-                new_blocks.push_back(b);
-        }
-    }
-    size_t edges_hit = 0;
-    for (const uint64_t hits : edges)
-        edges_hit += hits != 0;
-
-    const auto frontier = computeFrontier(plan_, blocks, /*cap=*/0);
-
-    if (emit_window && log_ != nullptr) {
+    if (log_ != nullptr) {
         std::string line;
-        line.reserve(256 + new_blocks.size() * 8);
+        line.reserve(256);
         line += "{\"type\":\"covmap_window\",\"execs\":";
         line += std::to_string(execs);
         line += ",\"new_blocks\":[";
-        for (size_t i = 0; i < new_blocks.size(); ++i) {
-            if (i != 0)
+        bool first = true;
+        for (size_t b = 0; b < now.blocks.size(); ++b) {
+            if (now.blocks[b] == 0 || merged_.blocks[b] != 0)
+                continue;
+            if (!first)
                 line += ',';
-            line += std::to_string(new_blocks[i]);
+            first = false;
+            line += std::to_string(b);
         }
         line += "],\"block_deltas\":";
-        appendDeltaPairs(line, blocks, merged_blocks_);
+        appendDeltaPairs(line, now.blocks, merged_.blocks);
         line += ",\"edge_deltas\":";
-        appendDeltaPairs(line, edges, merged_edges_);
+        appendDeltaPairs(line, now.edges, merged_.edges);
         line += ",\"stray_edges\":";
-        line += std::to_string(stray - merged_stray_);
+        line += std::to_string(now.stray - merged_.stray);
         line += ",\"blocks_hit\":";
-        line += std::to_string(blocks_hit);
+        line += std::to_string(summary.blocks_hit);
         line += ",\"edges_hit\":";
-        line += std::to_string(edges_hit);
+        line += std::to_string(summary.edges_hit);
         line += ",\"frontier_size\":";
-        line += std::to_string(frontier.size());
+        line += std::to_string(summary.frontier_size);
         line += "}\n";
         std::fwrite(line.data(), 1, line.size(), log_);
     }
 
-    metrics.counter("covmap.stray_edges").inc(stray - merged_stray_);
+    metrics.counter("covmap.stray_edges").inc(now.stray - merged_.stray);
+    merged_ = std::move(now);
+    summary_ = std::move(summary);
 
-    merged_blocks_ = std::move(blocks);
-    merged_edges_ = std::move(edges);
-    merged_stray_ = stray;
-
-    summary_.execs = execs;
-    if (emit_window)
-        ++summary_.windows;
-    summary_.blocks_hit = blocks_hit;
-    summary_.edges_hit = edges_hit;
-    summary_.total_block_hits = total_hits;
-    summary_.stray_edges = stray;
-    summary_.frontier_size = frontier.size();
-    summary_.top_frontier.assign(
-        frontier.begin(),
-        frontier.begin() +
-            std::min(frontier.size(), kSummaryFrontierCap));
-
-    if (emit_window)
-        metrics.counter("covmap.windows").inc();
-    metrics.gauge("covmap.blocks_hit").set(static_cast<double>(blocks_hit));
-    metrics.gauge("covmap.edges_hit").set(static_cast<double>(edges_hit));
+    metrics.counter("covmap.windows").inc();
+    metrics.gauge("covmap.blocks_hit")
+        .set(static_cast<double>(summary_.blocks_hit));
+    metrics.gauge("covmap.edges_hit")
+        .set(static_cast<double>(summary_.edges_hit));
     metrics.gauge("covmap.frontier_size")
-        .set(static_cast<double>(frontier.size()));
+        .set(static_cast<double>(summary_.frontier_size));
     metrics.gauge("covmap.resident_bytes")
         .set(static_cast<double>(residentBytes()));
     if (timed) {
@@ -374,7 +383,7 @@ CovMap::onCheckpoint(uint64_t execs, Registry &metrics)
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_)
         return;
-    mergeLocked(execs, /*emit_window=*/true, metrics);
+    mergeLocked(execs, metrics);
 }
 
 void
@@ -383,7 +392,7 @@ CovMap::finalize(uint64_t execs, Registry &metrics)
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_)
         return;
-    mergeLocked(execs, /*emit_window=*/true, metrics);
+    mergeLocked(execs, metrics);
     finalized_ = true;
     if (log_ == nullptr)
         return;
@@ -406,22 +415,11 @@ CovMap::finalize(uint64_t execs, Registry &metrics)
     log_ = nullptr;
 }
 
-std::vector<uint64_t>
-CovMap::mergedBlockHits() const
+CovCounts
+CovMap::merged() const
 {
-    std::vector<uint64_t> blocks, edges;
-    uint64_t stray = 0;
-    foldShards(blocks, edges, stray);
-    return blocks;
-}
-
-std::vector<uint64_t>
-CovMap::mergedEdgeHits() const
-{
-    std::vector<uint64_t> blocks, edges;
-    uint64_t stray = 0;
-    foldShards(blocks, edges, stray);
-    return edges;
+    std::lock_guard<std::mutex> lock(mu_);
+    return merged_;
 }
 
 CovSummary
@@ -429,53 +427,6 @@ CovMap::summary() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return summary_;
-}
-
-std::string
-CovMap::summaryJson() const
-{
-    const CovSummary snap = summary();
-    std::string out;
-    out.reserve(256);
-    out += "{\"enabled\":true,\"execs\":";
-    out += std::to_string(snap.execs);
-    out += ",\"windows\":";
-    out += std::to_string(snap.windows);
-    out += ",\"blocks_total\":";
-    out += std::to_string(plan_.num_blocks);
-    out += ",\"blocks_hit\":";
-    out += std::to_string(snap.blocks_hit);
-    out += ",\"edges_total\":";
-    out += std::to_string(plan_.numEdges());
-    out += ",\"edges_hit\":";
-    out += std::to_string(snap.edges_hit);
-    out += ",\"total_block_hits\":";
-    out += std::to_string(snap.total_block_hits);
-    out += ",\"stray_edges\":";
-    out += std::to_string(snap.stray_edges);
-    out += ",\"frontier_size\":";
-    out += std::to_string(snap.frontier_size);
-    out += ",\"frontier\":[";
-    for (size_t i = 0; i < snap.top_frontier.size(); ++i) {
-        const FrontierEntry &entry = snap.top_frontier[i];
-        if (i != 0)
-            out += ',';
-        out += "{\"target\":";
-        out += std::to_string(entry.target);
-        out += ",\"guard\":";
-        out += std::to_string(entry.guard);
-        out += ",\"guard_hits\":";
-        out += std::to_string(entry.guard_hits);
-        out += '}';
-    }
-    out += "]}";
-    return out;
-}
-
-std::vector<FrontierEntry>
-CovMap::frontierTargets(size_t cap) const
-{
-    return computeFrontier(plan_, mergedBlockHits(), cap);
 }
 
 size_t

@@ -20,11 +20,16 @@
  *    allocation;
  *  - the checkpoint owner (already serialized by the campaign's
  *    in-order checkpoint emission) calls onCheckpoint(), which folds
- *    every shard into the cumulative map, derives the window delta
- *    (what became newly-reached / hotter since the last checkpoint),
- *    appends a delta-encoded JSONL record to the snapshot log, updates
- *    the live frontier summary served by /coverage, and refreshes the
- *    covmap.* metrics in the registry it is handed (the campaign's).
+ *    every shard into one CovCounts, derives the window delta (what
+ *    became newly-reached / hotter since the last checkpoint), appends
+ *    a delta-encoded JSONL record to the snapshot log, updates the live
+ *    summary served by /coverage, and refreshes the covmap.* metrics
+ *    in the registry it is handed (the campaign's).
+ *
+ * CovCounts is the one merged hit state in the tree: the campaign's
+ * CovMap, the fleet's FleetAggregate and the offline CovProfile each
+ * hold one, and summarize() / summaryJson() are the one summary and
+ * the one /coverage writer over it.
  *
  * Frontier definition (plan-level, no kernel required): a *frontier
  * guard* is a reached block with two static successors of which at
@@ -98,9 +103,10 @@ struct CovMapPlan
  * TSan-clean.
  *
  * A visit that arrives over a static edge bumps only that edge: the
- * block's hit count is derived as its direct entries (trace starts,
- * entries over stray transitions) plus its incoming static-edge hits,
- * which halves the counter traffic per visited block.
+ * block's hit count is derived at merge time as its direct entries
+ * (trace starts, entries over stray transitions) plus its incoming
+ * static-edge hits, which halves the counter traffic per visited
+ * block.
  */
 class CovShard
 {
@@ -108,17 +114,6 @@ class CovShard
     /** Fold one call's block trace in: block hits plus consecutive-pair
      *  static-edge hits; non-static transitions tally as stray. */
     void recordTrace(const std::vector<uint32_t> &blocks);
-
-    /** @name Relaxed reads (merge / tests) */
-    /** @{ */
-    /** Visits of `block`: direct entries plus incoming edge hits. */
-    uint64_t blockHits(uint32_t block) const;
-    uint64_t edgeHits(uint32_t edge) const;
-    uint64_t strayEdges() const
-    {
-        return stray_edges_.load(std::memory_order_relaxed);
-    }
-    /** @} */
 
   private:
     friend class CovMap;
@@ -132,12 +127,31 @@ class CovShard
     std::atomic<uint64_t> stray_edges_{0};
 };
 
+/** Merged hit counts over one plan. */
+struct CovCounts
+{
+    std::vector<uint64_t> blocks;  ///< visits per block
+    std::vector<uint64_t> edges;   ///< hits per dense static edge
+    uint64_t stray = 0;            ///< transitions outside the static CFG
+
+    CovCounts() = default;
+    /** All-zero counts sized by `plan`. */
+    explicit CovCounts(const CovMapPlan &plan)
+        : blocks(plan.num_blocks, 0), edges(plan.numEdges(), 0)
+    {
+    }
+
+    bool operator==(const CovCounts &) const = default;
+};
+
 /** One ranked cold-frontier entry of the live summary. */
 struct FrontierEntry
 {
     uint32_t target = CovMapPlan::kNone;  ///< unreached successor block
     uint32_t guard = CovMapPlan::kNone;   ///< reached branch guarding it
     uint64_t guard_hits = 0;
+
+    bool operator==(const FrontierEntry &) const = default;
 };
 
 /**
@@ -163,7 +177,17 @@ struct CovSummary
     size_t frontier_size = 0;  ///< unreached frontier targets
     /** Top frontier targets by guard hits (capped). */
     std::vector<FrontierEntry> top_frontier;
+
+    bool operator==(const CovSummary &) const = default;
 };
+
+/** Summarize `counts` at virtual time `execs`; `cap` > 0 truncates
+ *  `top_frontier` (`frontier_size` counts every target). */
+CovSummary summarize(const CovMapPlan &plan, const CovCounts &counts,
+                     uint64_t execs, uint64_t windows, size_t cap);
+
+/** The /coverage JSON payload of `summary` over `plan`. */
+std::string summaryJson(const CovMapPlan &plan, const CovSummary &summary);
 
 /** The campaign-wide accumulator: shards + merged map + snapshot log. */
 class CovMap
@@ -209,45 +233,28 @@ class CovMap
      */
     void finalize(uint64_t execs, Registry &metrics);
 
-    /** @name Merged views (fold shards now; any thread) */
-    /** @{ */
-    std::vector<uint64_t> mergedBlockHits() const;
-    std::vector<uint64_t> mergedEdgeHits() const;
-    /** @} */
+    /** Merged counts as of the last merge point (copy under lock). */
+    CovCounts merged() const;
 
     /** Latest merged summary (copy under lock). */
     CovSummary summary() const;
-
-    /** The live summary as the /coverage JSON payload. */
-    std::string summaryJson() const;
-
-    /**
-     * Ranked cold-frontier targets over the *current* shard contents
-     * (merges on the fly; unbounded unless `cap` > 0). Deterministic:
-     * guard hits descending, target block id ascending.
-     */
-    std::vector<FrontierEntry> frontierTargets(size_t cap = 0) const;
 
     /** Bytes resident in shards + merged map (covmap.resident_bytes). */
     size_t residentBytes() const;
 
   private:
-    /** Fold shards into `blocks`/`edges` (sized by the plan). */
-    void foldShards(std::vector<uint64_t> &blocks,
-                    std::vector<uint64_t> &edges,
-                    uint64_t &stray) const;
+    /** Every shard's counts, summed. */
+    CovCounts foldShards() const;
 
     /** Merge + window emit; caller holds mu_. */
-    void mergeLocked(uint64_t execs, bool emit_window, Registry &metrics);
+    void mergeLocked(uint64_t execs, Registry &metrics);
 
     const CovMapPlan plan_;
     std::vector<std::unique_ptr<CovShard>> shards_;
 
     mutable std::mutex mu_;
-    /** Cumulative map as of the last merge point. */
-    std::vector<uint64_t> merged_blocks_;
-    std::vector<uint64_t> merged_edges_;
-    uint64_t merged_stray_ = 0;
+    /** Cumulative counts as of the last merge point. */
+    CovCounts merged_;
     CovSummary summary_;
     std::FILE *log_ = nullptr;
     bool finalized_ = false;

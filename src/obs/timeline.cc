@@ -69,18 +69,18 @@ appendTickCore(std::string &out, const TimelineTick &tick)
 void
 appendCov(std::string &out, const TimelineTick &tick)
 {
-    if (!tick.have_cov)
+    if (!tick.cov)
         return;
     out += ",\"cov\":{\"blocks_hit\":";
-    out += std::to_string(tick.cov_blocks_hit);
+    out += std::to_string(tick.cov->blocks_hit);
     out += ",\"edges_hit\":";
-    out += std::to_string(tick.cov_edges_hit);
+    out += std::to_string(tick.cov->edges_hit);
     out += ",\"total_block_hits\":";
-    out += std::to_string(tick.cov_total_block_hits);
+    out += std::to_string(tick.cov->total_block_hits);
     out += ",\"frontier_size\":";
-    out += std::to_string(tick.cov_frontier_size);
+    out += std::to_string(tick.cov->frontier_size);
     out += ",\"stray_edges\":";
-    out += std::to_string(tick.cov_stray_edges);
+    out += std::to_string(tick.cov->stray_edges);
     out += '}';
 }
 

@@ -46,9 +46,11 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "obs/covmap.h"
 #include "obs/metrics.h"
 
 namespace sp::obs {
@@ -62,8 +64,8 @@ struct TimelineArm
 };
 
 /**
- * Campaign facts the fuzz layer supplies per grid boundary. Plain
- * fields only: sp_obs stays free of fuzz/policy types, and the builder
+ * Campaign facts the fuzz layer supplies per grid boundary. sp_obs
+ * types only: sp_obs stays free of fuzz/policy types, and the builder
  * (fuzz::makeTimelineTick) owns the mapping.
  */
 struct TimelineTick
@@ -74,12 +76,8 @@ struct TimelineTick
     uint64_t crashes = 0;      ///< unique crashes
     uint64_t corpus_size = 0;
 
-    bool have_cov = false;     ///< covmap summary present
-    uint64_t cov_blocks_hit = 0;
-    uint64_t cov_edges_hit = 0;
-    uint64_t cov_total_block_hits = 0;
-    uint64_t cov_frontier_size = 0;
-    uint64_t cov_stray_edges = 0;
+    /** The covmap summary at this boundary, when profiling. */
+    std::optional<CovSummary> cov;
 
     bool have_policy = false;
     std::string policy_name;

@@ -312,8 +312,8 @@ std::string statusJson();
 
 /**
  * Register the callable behind the status server's /coverage endpoint
- * (normally CovMap::summaryJson of the live campaign, or a frozen
- * summary once the campaign finished). Same concurrency contract as
+ * (normally obs::summaryJson of the live campaign's or fleet's
+ * summary, or a frozen one once the run finished). Same concurrency contract as
  * setStatusProvider(): the provider runs under the registration mutex,
  * so once setCoverageProvider() returns no in-flight invocation of the
  * previous provider remains. Pass nullptr to clear.

@@ -73,16 +73,15 @@ TEST(CovProfile, LogRoundTripMatchesMergedMap)
 
     auto profile = CovProfile::load(path);
     ASSERT_TRUE(profile.ok()) << profile.error;
-    EXPECT_EQ(profile.num_blocks, 6u);
-    EXPECT_EQ(profile.edges.size(), map.plan().numEdges());
+    EXPECT_EQ(profile.plan.num_blocks, 6u);
+    EXPECT_EQ(profile.plan.edges, map.plan().edges);
     EXPECT_EQ(profile.execs, 600u);
     // Two checkpoints plus the finalize tail window.
     EXPECT_EQ(profile.windows.size(), 3u);
-    EXPECT_EQ(profile.stray_edges, 1u);
+    EXPECT_EQ(profile.counts.stray, 1u);
 
     // Delta reconstruction is exact: the profile equals the live map.
-    EXPECT_EQ(profile.block_hits, map.mergedBlockHits());
-    EXPECT_EQ(profile.edge_hits, map.mergedEdgeHits());
+    EXPECT_EQ(profile.counts, map.merged());
 
     // The spliced campaign header survives the round trip.
     const json::Value *kernel_obj = profile.header.find("kernel");
@@ -111,6 +110,18 @@ TEST(CovProfile, LoadReportsMissingAndMalformedFiles)
     std::fclose(f);
     auto bad = CovProfile::load(path);
     EXPECT_FALSE(bad.ok());
+
+    // Edge deltas index the writer's sorted dense order; a header in
+    // another order cannot be replayed and is refused.
+    f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"type\":\"covmap_header\",\"version\":1,"
+               "\"num_blocks\":3,\"num_edges\":2,"
+               "\"edges\":[[1,2],[0,1]]}\n",
+               f);
+    std::fclose(f);
+    auto unsorted = CovProfile::load(path);
+    EXPECT_FALSE(unsorted.ok());
     std::remove(path.c_str());
 }
 
@@ -199,7 +210,7 @@ TEST(Report, JsonParsesAndTargetsRoundTrip)
     size_t banded = 0;
     for (size_t count : analysis.band_counts)
         banded += count;
-    EXPECT_EQ(banded, analysis.profile.num_blocks);
+    EXPECT_EQ(banded, analysis.profile.plan.num_blocks);
 
     const std::string json = reportJson(analysis, log_path);
     auto parsed = json::parse(json);
@@ -269,7 +280,7 @@ TEST(DirectedFromFrontier, ReachesTargetsTheUndirectedRunMissed)
     std::vector<uint32_t> targets;
     for (const auto &t : analysis.targets) {
         // Frontier targets are unreached by construction.
-        EXPECT_EQ(analysis.profile.block_hits[t.target], 0u);
+        EXPECT_EQ(analysis.profile.counts.blocks[t.target], 0u);
         targets.push_back(t.target);
     }
 

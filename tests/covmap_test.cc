@@ -84,32 +84,33 @@ TEST(CovMapPlan, BuildDedupesAndIndexesEdges)
 TEST(CovShard, RecordsBlocksEdgesAndStrays)
 {
     CovMap map(diamondPlan(), /*workers=*/1);
+    Registry metrics;
     CovShard &shard = map.shard(0);
 
     shard.recordTrace({0, 1, 3, 5});
     shard.recordTrace({0, 2, 3, 5});
     shard.recordTrace({0, 1, 3, 5});
+    // merged() is the state of the last merge point, not the shards.
+    EXPECT_EQ(map.merged(), CovCounts(map.plan()));
+    map.onCheckpoint(3, metrics);
 
-    EXPECT_EQ(shard.blockHits(0), 3u);
-    EXPECT_EQ(shard.blockHits(1), 2u);
-    EXPECT_EQ(shard.blockHits(2), 1u);
-    EXPECT_EQ(shard.blockHits(3), 3u);
-    EXPECT_EQ(shard.blockHits(4), 0u);
-    EXPECT_EQ(shard.blockHits(5), 3u);
-
+    CovCounts counts = map.merged();
+    EXPECT_EQ(counts.blocks, (std::vector<uint64_t>{3, 2, 1, 3, 0, 3}));
     const auto &plan = map.plan();
-    EXPECT_EQ(shard.edgeHits(plan.edgeIndex(0, 1)), 2u);
-    EXPECT_EQ(shard.edgeHits(plan.edgeIndex(0, 2)), 1u);
-    EXPECT_EQ(shard.edgeHits(plan.edgeIndex(3, 5)), 3u);
-    EXPECT_EQ(shard.edgeHits(plan.edgeIndex(1, 4)), 0u);
-    EXPECT_EQ(shard.strayEdges(), 0u);
+    EXPECT_EQ(counts.edges[plan.edgeIndex(0, 1)], 2u);
+    EXPECT_EQ(counts.edges[plan.edgeIndex(0, 2)], 1u);
+    EXPECT_EQ(counts.edges[plan.edgeIndex(3, 5)], 3u);
+    EXPECT_EQ(counts.edges[plan.edgeIndex(1, 4)], 0u);
+    EXPECT_EQ(counts.stray, 0u);
 
     // A transition outside the static CFG tallies as stray, and
     // out-of-range blocks are ignored rather than written.
     shard.recordTrace({5, 0});
-    EXPECT_EQ(shard.strayEdges(), 1u);
     shard.recordTrace({99});
-    EXPECT_EQ(shard.blockHits(5), 4u);
+    map.onCheckpoint(5, metrics);
+    counts = map.merged();
+    EXPECT_EQ(counts.stray, 1u);
+    EXPECT_EQ(counts.blocks, (std::vector<uint64_t>{4, 2, 1, 3, 0, 4}));
 }
 
 TEST(CovShard, DerivedHitsMatchPerVisitCounts)
@@ -164,15 +165,12 @@ TEST(CovShard, DerivedHitsMatchPerVisitCounts)
         map.shard(t % 2).recordTrace(trace);
     }
 
-    EXPECT_EQ(map.mergedBlockHits(), want_blocks);
-    EXPECT_EQ(map.mergedEdgeHits(), want_edges);
-    EXPECT_EQ(map.shard(0).strayEdges() + map.shard(1).strayEdges(),
-              want_stray);
-    for (uint32_t b = 0; b < kBlocks + 2; ++b) {
-        EXPECT_EQ(map.shard(0).blockHits(b) + map.shard(1).blockHits(b),
-                  b < kBlocks ? want_blocks[b] : 0u)
-            << b;
-    }
+    Registry metrics;
+    map.onCheckpoint(300, metrics);
+    const CovCounts counts = map.merged();
+    EXPECT_EQ(counts.blocks, want_blocks);
+    EXPECT_EQ(counts.edges, want_edges);
+    EXPECT_EQ(counts.stray, want_stray);
     EXPECT_GT(want_stray, 0u);
 }
 
@@ -197,17 +195,15 @@ TEST(CovMap, MergeIsIndependentOfShardInterleaving)
     for (size_t i = 0; i < traces.size(); ++i)
         four.shard(i % 4).recordTrace(traces[i]);
 
-    EXPECT_EQ(one.mergedBlockHits(), four.mergedBlockHits());
-    EXPECT_EQ(one.mergedEdgeHits(), four.mergedEdgeHits());
+    Registry metrics;
+    one.onCheckpoint(40, metrics);
+    four.onCheckpoint(40, metrics);
+    EXPECT_EQ(one.merged(), four.merged());
 
-    const auto fa = one.frontierTargets();
-    const auto fb = four.frontierTargets();
-    ASSERT_EQ(fa.size(), fb.size());
-    for (size_t i = 0; i < fa.size(); ++i) {
-        EXPECT_EQ(fa[i].target, fb[i].target);
-        EXPECT_EQ(fa[i].guard, fb[i].guard);
-        EXPECT_EQ(fa[i].guard_hits, fb[i].guard_hits);
-    }
+    const auto fa = computeFrontier(one.plan(), one.merged().blocks, 0);
+    const auto fb = computeFrontier(four.plan(), four.merged().blocks, 0);
+    EXPECT_FALSE(fa.empty());
+    EXPECT_EQ(fa, fb);
 }
 
 TEST(Frontier, RanksByGuardHitsThenTargetId)
@@ -262,7 +258,12 @@ TEST(CovMap, SummaryAndJsonReflectMerges)
     EXPECT_EQ(summary.frontier_size, 2u);
     ASSERT_EQ(summary.top_frontier.size(), 2u);
 
-    const std::string json = map.summaryJson();
+    // The live summary is summarize() over the merged counts.
+    EXPECT_EQ(summarize(map.plan(), map.merged(), 100, 1,
+                        CovMap::kSummaryFrontierCap),
+              summary);
+
+    const std::string json = summaryJson(map.plan(), map.summary());
     EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
     EXPECT_NE(json.find("\"execs\":100"), std::string::npos);
     EXPECT_NE(json.find("\"blocks_hit\":4"), std::string::npos);
@@ -297,7 +298,7 @@ TEST(CovMap, RecordAndMergeAreRaceFree)
         t.join();
     map.finalize(3000, metrics);
 
-    const auto blocks = map.mergedBlockHits();
+    const auto blocks = map.merged().blocks;
     EXPECT_EQ(blocks[0], 6000u);
     EXPECT_EQ(blocks[5], 6000u);
 }
@@ -332,7 +333,7 @@ campaignBlockHits(size_t workers, uint64_t seed)
     fuzz::CampaignEngine engine(kernel, opts, randomLocalizers());
     engine.run();  // finalizes the covmap
     EXPECT_GT(map.summary().windows, 1u);
-    return map.mergedBlockHits();
+    return map.merged().blocks;
 }
 
 TEST(CovMapCampaign, AccumulatesHitsAndIsRepeatableSingleWorker)
@@ -410,7 +411,8 @@ TEST(CoverageEndpoint, ServesProviderJsonAndDisabledDefault)
     Registry metrics;
     map.shard(0).recordTrace({0, 1, 3, 5});
     map.onCheckpoint(42, metrics);
-    setCoverageProvider([&map] { return map.summaryJson(); });
+    setCoverageProvider(
+        [&map] { return summaryJson(map.plan(), map.summary()); });
 
     StatusServer server(0);
     ASSERT_NE(server.port(), 0u);

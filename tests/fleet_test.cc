@@ -13,11 +13,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/snowplow.h"
 #include "data/format.h"
 #include "data/store.h"
 #include "fleet/aggregate.h"
@@ -481,15 +483,8 @@ TEST(FleetAggregateTest, MergeIsArrivalOrderIndependent)
         EXPECT_EQ(shuffled.edgeCount(), reference.edgeCount());
         EXPECT_EQ(shuffled.blockCount(), reference.blockCount());
         EXPECT_EQ(shuffled.uniqueCrashes(), reference.uniqueCrashes());
-        EXPECT_EQ(shuffled.blockHits(), reference.blockHits());
-        EXPECT_EQ(shuffled.edgeHits(), reference.edgeHits());
-        EXPECT_EQ(shuffled.strayEdges(), reference.strayEdges());
-        for (uint32_t arm = 0; arm < 2; ++arm) {
-            EXPECT_EQ(shuffled.posteriorPulls(arm),
-                      reference.posteriorPulls(arm));
-            EXPECT_EQ(shuffled.posteriorWins(arm),
-                      reference.posteriorWins(arm));
-        }
+        EXPECT_EQ(shuffled.covCounts(), reference.covCounts());
+        EXPECT_EQ(shuffled.posteriorArms(), reference.posteriorArms());
         EXPECT_DOUBLE_EQ(shuffled.pmmShare(), reference.pmmShare());
     }
 }
@@ -521,7 +516,7 @@ TEST(FleetAggregateTest, MergeDedupsReplayedResults)
     }
     EXPECT_EQ(twice.corpusSize(), once.corpusSize());
     EXPECT_EQ(twice.uniqueCrashes(), once.uniqueCrashes());
-    EXPECT_EQ(twice.blockHits(), once.blockHits());
+    EXPECT_EQ(twice.covCounts(), once.covCounts());
 }
 
 TEST(FleetAggregateTest, CoverageIsTheSetUnionOfAdmittedPrograms)
@@ -599,10 +594,108 @@ TEST(FleetAggregateTest, MergeRejectsHostileIndices)
     const MergeOutcome outcome = aggregate.merge(msg);
     EXPECT_EQ(outcome.new_crashes, 0u);
     EXPECT_EQ(aggregate.uniqueCrashes(), 0u);
-    uint64_t total = 0;
-    for (const uint64_t hits : aggregate.blockHits())
-        total += hits;
-    EXPECT_EQ(total, 0u);
+    EXPECT_EQ(aggregate.covCounts(),
+              obs::CovCounts(obs::CovMapPlan::build(
+                  kernel.blocks().size(), kernel.staticEdges())));
+
+    // A count delta that would wrap its running total is dropped:
+    // 2^64 - 5 on top of 5 must not turn block 0 back into unreached.
+    LeaseResultMsg small;
+    small.lease_id = 2;
+    small.have_cov = true;
+    small.block_deltas = {{0, 5}};
+    small.edge_deltas = {{0, 5}};
+    small.stray_edges = 5;
+    aggregate.merge(small);
+    LeaseResultMsg wrap = small;
+    wrap.lease_id = 3;
+    const uint64_t wraps = UINT64_MAX - 4;
+    wrap.block_deltas = {{0, wraps}};
+    wrap.edge_deltas = {{0, wraps}};
+    wrap.stray_edges = wraps;
+    aggregate.merge(wrap);
+    EXPECT_EQ(aggregate.covCounts().blocks[0], 5u);
+    EXPECT_EQ(aggregate.covCounts().edges[0], 5u);
+    EXPECT_EQ(aggregate.covCounts().stray, 5u);
+    EXPECT_EQ(aggregate.covSummary(0).blocks_hit, 1u);
+
+    // The wire carries raw double bits: a posterior push whose
+    // pmm_share is not a share is dropped whole, so /status never
+    // prints a NaN.
+    for (const double share :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(), -0.5, 1.5}) {
+        LeaseResultMsg hostile;
+        hostile.lease_id = 4;
+        hostile.execs = 100;
+        hostile.have_policy = true;
+        hostile.policy_name = "thompson";
+        hostile.pmm_share = share;
+        hostile.arms = {{0, 10, 1}};
+        aggregate.merge(hostile);
+    }
+    EXPECT_FALSE(aggregate.havePolicy());
+    EXPECT_TRUE(aggregate.posteriorArms().empty());
+    EXPECT_EQ(aggregate.pmmShare(), 0.0);
+
+    LeaseResultMsg honest;
+    honest.lease_id = 5;
+    honest.execs = 100;
+    honest.have_policy = true;
+    honest.policy_name = "thompson";
+    honest.pmm_share = 0.25;
+    honest.arms = {{0, 10, 1}};
+    aggregate.merge(honest);
+    EXPECT_DOUBLE_EQ(aggregate.pmmShare(), 0.25);
+    EXPECT_EQ(aggregate.posteriorArms().size(), 1u);
+}
+
+TEST(FleetAggregateTest, MergedCampaignCovmapMatchesItsSummary)
+{
+    // One 1-worker campaign's covmap, pushed as one lease result the
+    // way runLease packs it, must summarize in the fleet exactly as the
+    // campaign summarized it — frontier included. Only `windows`
+    // differs: the fleet counts merged results, the campaign its
+    // checkpoints.
+    const kern::Kernel kernel = testKernel();
+    obs::CovMap map(obs::CovMapPlan::build(kernel.blocks().size(),
+                                           kernel.staticEdges()),
+                    1);
+    fuzz::CampaignOptions opts;
+    opts.workers = 1;
+    opts.fuzz.exec_budget = 1500;
+    opts.fuzz.seed = 3;
+    opts.fuzz.checkpoint_every = 500;
+    opts.fuzz.covmap = &map;
+    const fuzz::FuzzReport report =
+        core::makeSyzkallerCampaign(kernel, opts)->run();
+
+    LeaseResultMsg msg;
+    msg.lease_id = 1;
+    msg.execs = report.execs;
+    const obs::CovCounts counts = map.merged();
+    msg.have_cov = true;
+    for (uint32_t i = 0; i < counts.blocks.size(); ++i) {
+        if (counts.blocks[i] != 0)
+            msg.block_deltas.emplace_back(i, counts.blocks[i]);
+    }
+    for (uint32_t i = 0; i < counts.edges.size(); ++i) {
+        if (counts.edges[i] != 0)
+            msg.edge_deltas.emplace_back(i, counts.edges[i]);
+    }
+    msg.stray_edges = counts.stray;
+
+    FleetAggregate aggregate(kernel, true);
+    aggregate.merge(msg);
+    EXPECT_EQ(aggregate.covCounts(), counts);
+
+    const obs::CovSummary local = map.summary();
+    obs::CovSummary fleet = aggregate.covSummary(report.execs);
+    EXPECT_EQ(fleet.windows, 1u);
+    EXPECT_GT(local.windows, 1u);
+    fleet.windows = local.windows;
+    EXPECT_EQ(fleet, local);
+    EXPECT_EQ(fleet.top_frontier.size(), obs::CovMap::kSummaryFrontierCap);
 }
 
 /** Bump the first Len field under `arg`; false when it has none. */
