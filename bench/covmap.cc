@@ -6,23 +6,27 @@
 //    execute, triage, checkpoint) with and without per-block hit
 //    recording; items/s is executions per second;
 //  - BM_CovmapRecordProgram — the exact per-execution recording work a
-//    campaign worker adds (recordTrace over every call trace of one
-//    corpus program); the CI gate divides this by the enabled:0 slot
-//    time, which is far more stable than differencing two noisy
-//    end-to-end runs;
+//    campaign worker adds: the fast backend's coverage pass over one
+//    corpus program's call traces with a shard, minus the same pass
+//    without one (the pass counts hits as it dedups coverage); the CI
+//    gate divides this by the enabled:0 slot time, which is far more
+//    stable than differencing two noisy end-to-end runs;
 //  - BM_CovmapDisabledSite — the null-shard branch a covmap-less
-//    campaign pays per execution (must be unmeasurable);
+//    campaign pays per execution (the backend picks its recording
+//    variant once per run; must be unmeasurable);
 //  - BM_CovmapMerge — the checkpoint owner's shard fold + frontier +
 //    window derivation (off the worker hot path, but bounded so
 //    checkpoint stalls stay invisible).
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
 #include "bench/common.h"
 #include "core/snowplow.h"
+#include "exec/coverage.h"
 #include "exec/executor.h"
 #include "obs/covmap.h"
 #include "prog/gen.h"
@@ -88,9 +92,14 @@ BM_CovmapDisabledSite(benchmark::State &state)
 }
 BENCHMARK(BM_CovmapDisabledSite);
 
-// The whole recording work of one executed program: recordTrace over
-// each call's block trace, cycling through a real generated corpus
-// (items = programs). This is the numerator of the CI overhead gate.
+// The whole recording work of one executed program: the fast
+// backend's coverage pass (DenseCoverage::beginExec + addTrace per
+// call) over a real generated corpus, timed with a shard minus without
+// one. Each iteration runs the whole corpus both ways, alternating
+// which goes first, and reports the difference per program; the
+// iteration count is fixed because the manual time per iteration is a
+// small fraction of its real cost. This is the numerator of the CI
+// overhead gate.
 void
 BM_CovmapRecordProgram(benchmark::State &state)
 {
@@ -110,18 +119,49 @@ BM_CovmapRecordProgram(benchmark::State &state)
     }
     auto covmap = makeCovMap(1);
     obs::CovShard &shard = covmap->shard(0);
+    const auto &succ = kernel.successorTable();
+    exec::DenseCoverage coverage;
+    coverage.bind(succ.data(), succ.size());
 
-    size_t i = 0;
+    using Clock = std::chrono::steady_clock;
+    auto pass = [&](obs::CovShard *hits) {
+        const auto start = Clock::now();
+        for (const auto &calls : traces) {
+            coverage.beginExec();
+            for (const auto &blocks : calls) {
+                if (hits != nullptr)
+                    coverage.addTrace(blocks.data(), blocks.size(), *hits);
+                else
+                    coverage.addTrace(blocks.data(), blocks.size());
+            }
+            benchmark::DoNotOptimize(coverage.touchedEdges().data());
+        }
+        return std::chrono::duration<double>(Clock::now() - start).count();
+    };
+    const double programs = static_cast<double>(traces.size());
+    double plain_total = 0.0;
+    bool shard_first = true;
     for (auto _ : state) {
-        for (const auto &blocks : traces[i++ % traces.size()])
-            shard.recordTrace(blocks);
+        double with = 0.0, without = 0.0;
+        if (shard_first) {
+            with = pass(&shard);
+            without = pass(nullptr);
+        } else {
+            without = pass(nullptr);
+            with = pass(&shard);
+        }
+        shard_first = !shard_first;
+        plain_total += without;
+        state.SetIterationTime((with - without) / programs);
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
     state.counters["blocks_per_program"] =
-        static_cast<double>(total_blocks) /
-        static_cast<double>(traces.size());
+        static_cast<double>(total_blocks) / programs;
+    state.counters["pass_ns"] =
+        1e9 * plain_total /
+        (programs * static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_CovmapRecordProgram);
+BENCHMARK(BM_CovmapRecordProgram)->UseManualTime()->Iterations(4000);
 
 // The checkpoint owner's merge: fold 4 worker shards into the
 // cumulative map and derive the window delta + frontier.

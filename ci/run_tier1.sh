@@ -19,8 +19,9 @@
 #      fuzz --directed-from)
 #   7  dataset store round trip + streaming-training parity
 #   8  decision-policy ablation sweep gate (thompson >= static)
-#   9  timeline observatory: artifact/report schema checks, compare
-#      gate vs the committed BENCH_timeline.json baseline,
+#   9  timeline observatory: artifact/report schema checks, byte
+#      equality and compare gate vs the committed BENCH_timeline.json
+#      baseline,
 #      static-vs-thompson verdict, recording-overhead gate (<1% of a
 #      checkpoint interval)
 #  10  fleet fabric: localhost coordinator + 4 nodes (one abandons its
@@ -604,9 +605,10 @@ PY
 # canonical campaign below (no metrics sink => no wall clock anywhere
 # in the artifact; --workers 1 => the serialized checkpoint owner is
 # the only sampler; the bytes are reproducible run-to-run). The stage
-# re-runs that campaign, schema-checks the artifacts, and requires
-# `sp_analysis compare` to come back clean against the baseline (exit
-# 3 = regression verdict). A thompson campaign over the same seed set
+# re-runs that campaign, schema-checks the artifacts, and requires the
+# fresh artifact to equal the baseline byte for byte and
+# `sp_analysis compare` to come back clean against it (exit 3 =
+# regression verdict). A thompson campaign over the same seed set
 # must then match or beat the static baseline's final edges — the same
 # direction stage 8's ablation gate enforces. Finally the recording
 # overhead is gated: one checkpoint sample must cost under 1% of a
@@ -629,6 +631,13 @@ trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_li
 ./build/examples/snowplow_cli fuzz --budget 6000 --seed 5 --workers 1 \
     --policy thompson --covmap-out "$tl_cov" \
     --timeline-out "$tl_thompson" > /dev/null
+# The fresh static artifact must equal the baseline byte for byte: a
+# change that moves the RNG stream or any recorded figure fails here
+# even when the compare verdict below stays clean.
+cmp BENCH_timeline.json "$tl_fresh" || {
+    echo "timeline: fresh static artifact differs from BENCH_timeline.json"
+    echo "(if intentional, refresh BENCH_timeline.json — see above)"
+    exit 1; }
 ./build/examples/sp_analysis compare BENCH_timeline.json "$tl_fresh" \
     --out "$cmp_base" || {
         echo "timeline: fresh campaign regressed vs the committed baseline"

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "exec/arena.h"
+#include "obs/covmap.h"
 #include "obs/metrics.h"
 #include "prog/flatten.h"
 #include "util/logging.h"
@@ -59,7 +60,7 @@ class ReferenceBackend final : public ExecBackend
     BackendKind kind() const override { return BackendKind::Reference; }
 
     ExecResult
-    run(const prog::Prog &prog, Rng *noise) override
+    run(const prog::Prog &prog, Rng *noise, obs::CovShard *hits) override
     {
         ExecResult result;
         kern::KernelState state = kernel_.initialState();
@@ -97,6 +98,8 @@ class ReferenceBackend final : public ExecBackend
                         edges.push_back(key);
                 }
             }
+            if (hits != nullptr)
+                hits->recordTrace(visited);
             result.calls.push_back(std::move(trace));
 
             if (call_result.crashed) {
@@ -140,7 +143,18 @@ class FastBackend final : public ExecBackend
     BackendKind kind() const override { return BackendKind::Fast; }
 
     ExecResult
-    run(const prog::Prog &prog, Rng *noise) override
+    run(const prog::Prog &prog, Rng *noise, obs::CovShard *hits) override
+    {
+        // The recording variant is chosen once per run, so a run
+        // without a covmap pays this one branch.
+        return hits != nullptr ? runWith<true>(prog, noise, hits)
+                               : runWith<false>(prog, noise, nullptr);
+    }
+
+  private:
+    template <bool kRecord>
+    ExecResult
+    runWith(const prog::Prog &prog, Rng *noise, obs::CovShard *hits)
     {
         ExecArena &arena = ExecArena::local();
         ++arena.programs;
@@ -163,7 +177,12 @@ class FastBackend final : public ExecBackend
             arena.trace.clear();
             kern::CallResult call_result = kernel_.executeCall(
                 call.decl->id, arena.slots, state_, arena.trace, noise);
-            coverage_.addTrace(arena.trace.data(), arena.trace.size());
+            if constexpr (kRecord) {
+                coverage_.addTrace(arena.trace.data(), arena.trace.size(),
+                                   *hits);
+            } else {
+                coverage_.addTrace(arena.trace.data(), arena.trace.size());
+            }
 
             CallTrace trace;
             trace.call_index = static_cast<uint32_t>(i);
@@ -187,7 +206,6 @@ class FastBackend final : public ExecBackend
         return result;
     }
 
-  private:
     /** Roll the persistent state back to the pristine snapshot and
      *  record the restore cost (`exec.restore_us`, dirty entries). */
     void

@@ -35,6 +35,7 @@
 #include "util/rng.h"
 
 namespace sp::obs {
+class CovShard;
 class Registry;
 }
 
@@ -95,9 +96,13 @@ class ExecBackend
      * executor's nondeterministic timing source, or nullptr in
      * deterministic mode; a backend must consume it exactly as the
      * reference backend does (the bit-identity contract covers the
-     * noise stream).
+     * noise stream). When `hits` is non-null, every call's block trace
+     * is also counted into it, exactly as obs::CovShard::recordTrace
+     * counts it (the reference backend calls recordTrace; the fast one
+     * counts inside its coverage pass).
      */
-    virtual ExecResult run(const prog::Prog &prog, Rng *noise) = 0;
+    virtual ExecResult run(const prog::Prog &prog, Rng *noise,
+                           obs::CovShard *hits) = 0;
 
     virtual BackendKind kind() const = 0;
 

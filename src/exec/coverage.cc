@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/covmap.h"
+
 namespace sp::exec {
 
 namespace {
@@ -120,9 +122,16 @@ DenseCoverage::beginExec()
     stray_edges_.clear();
 }
 
+template <bool kRecord>
 void
-DenseCoverage::addTrace(const uint32_t *trace, size_t len)
+DenseCoverage::fold(const uint32_t *trace, size_t len, obs::CovShard *hits)
 {
+    [[maybe_unused]] const obs::CovMapPlan::Successors *plan = nullptr;
+    if constexpr (kRecord) {
+        plan = hits->plan().succ.data();
+        if (len != 0)
+            hits->enter(trace[0]);  // a trace start is a direct entry
+    }
     for (size_t i = 0; i < len; ++i) {
         const uint32_t block = trace[i];
         if (block_epoch_[block] != epoch_) {
@@ -132,14 +141,23 @@ DenseCoverage::addTrace(const uint32_t *trace, size_t len)
         if (i + 1 == len)
             continue;
         const uint32_t to = trace[i + 1];
-        const Successors &succ = succ_[block];
-        if (to == succ.taken || to == succ.fallthrough) {
-            const size_t slot =
-                static_cast<size_t>(block) * 2 + (to != succ.taken);
+        // The step's successor slot: 0, 1, or 2 for a stray transition.
+        size_t k;
+        if constexpr (kRecord) {
+            const obs::CovMapPlan::Successors &s = plan[block];
+            k = to == s.to[0] ? 0 : to == s.to[1] ? 1 : 2;
+        } else {
+            const Successors &s = succ_[block];
+            k = to == s.taken ? 0 : to == s.fallthrough ? 1 : 2;
+        }
+        if (k < 2) {
+            const size_t slot = static_cast<size_t>(block) * 2 + k;
             if (edge_epoch_[slot] != epoch_) {
                 edge_epoch_[slot] = epoch_;
                 touched_edges_.push_back(edgeKey(block, to));
             }
+            if constexpr (kRecord)
+                hits->cross(plan[block].edge[k]);
         } else {
             // Stray interrupt-noise transition: not in the static CFG.
             // At most one per call, so the linear dedup scan is cheap.
@@ -149,8 +167,23 @@ DenseCoverage::addTrace(const uint32_t *trace, size_t len)
                 stray_edges_.push_back(key);
                 touched_edges_.push_back(key);
             }
+            if constexpr (kRecord)
+                hits->stray(to);
         }
     }
+}
+
+void
+DenseCoverage::addTrace(const uint32_t *trace, size_t len)
+{
+    fold<false>(trace, len, nullptr);
+}
+
+void
+DenseCoverage::addTrace(const uint32_t *trace, size_t len,
+                        obs::CovShard &hits)
+{
+    fold<true>(trace, len, &hits);
 }
 
 }  // namespace sp::exec

@@ -34,6 +34,10 @@
 
 #include "kernel/block.h"
 
+namespace sp::obs {
+class CovShard;
+}
+
 namespace sp::exec {
 
 /** Pack a directed edge into one key. */
@@ -108,6 +112,17 @@ class DenseCoverage
      *  consecutive pair as a directed edge. */
     void addTrace(const uint32_t *trace, size_t len);
 
+    /**
+     * addTrace that also counts every visit into `hits`, the covmap's
+     * per-worker counters, in the same pass: what
+     * obs::CovShard::recordTrace would count over the trace. Each step
+     * resolves against the plan's successor record, which also carries
+     * the dense edge id, so recording adds no lookup. The plan's
+     * successor slots must be the bound table's (a plan built from the
+     * kernel's staticEdges() has them; the campaign checks once).
+     */
+    void addTrace(const uint32_t *trace, size_t len, obs::CovShard &hits);
+
     /** Unique blocks touched this exec, in first-visit order. */
     const std::vector<uint32_t> &touchedBlocks() const
     {
@@ -122,6 +137,10 @@ class DenseCoverage
     }
 
   private:
+    /** The one trace pass, with or without hit counting. */
+    template <bool kRecord>
+    void fold(const uint32_t *trace, size_t len, obs::CovShard *hits);
+
     const Successors *succ_ = nullptr;
     uint32_t epoch_ = 0;
     std::vector<uint32_t> block_epoch_;

@@ -17,7 +17,7 @@ Executor::Executor(const kern::Kernel &kernel, const ExecOptions &opts,
 }
 
 ExecResult
-Executor::run(const prog::Prog &prog)
+Executor::run(const prog::Prog &prog, obs::CovShard *hits)
 {
     obs::ScopedTimer timer(run_us_);
     // Execute-stage span lives here, not in the campaign loop, so
@@ -25,8 +25,8 @@ Executor::run(const prog::Prog &prog)
     obs::TraceSpan trace_span(obs::SpanKind::Execute,
                               prog.calls.size());
     ++programs_executed_;
-    ExecResult result =
-        backend_->run(prog, opts_.deterministic ? nullptr : &noise_);
+    ExecResult result = backend_->run(
+        prog, opts_.deterministic ? nullptr : &noise_, hits);
     calls_executed_ += result.calls.size();
 
     if (obs::timingEnabled()) {

@@ -52,8 +52,9 @@ class Executor
     Executor(const kern::Kernel &kernel, const ExecOptions &opts = {},
              obs::Registry &metrics = obs::Registry::global());
 
-    /** Execute `prog` from a fresh kernel state. */
-    ExecResult run(const prog::Prog &prog);
+    /** Execute `prog` from a fresh kernel state; when `hits` is
+     *  non-null, count every visit into it (see ExecBackend::run). */
+    ExecResult run(const prog::Prog &prog, obs::CovShard *hits = nullptr);
 
     /** The kernel under test. */
     const kern::Kernel &kernel() const { return kernel_; }

@@ -313,11 +313,8 @@ executeSlot(WorkerEnv &env, const prog::Prog &program,
     const uint64_t slot = grant.begin + 1;  // 1-based execution number
 
     boardStage(env, obs::WorkerStage::Execute, slot);
-    auto result = env.executor->run(program);
-    if (env.cov_shard != nullptr) {
-        for (const auto &call : result.calls)
-            env.cov_shard->recordTrace(call.blocks);
-    }
+    // The executor counts covmap hits in its own trace pass.
+    auto result = env.executor->run(program, env.cov_shard);
     ++env.local_execs;
 
     boardStage(env, obs::WorkerStage::Triage, slot);
@@ -466,7 +463,7 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel,
     CampaignShared &shared = *env.shared;
     const FuzzOptions &opts = *shared.opts;
     BudgetLedger &ledger = *shared.ledger;
-    mut::ArgUndo undo;  // reused by every argument-lane mutant
+    mut::MutationUndo undo;  // reused by every mutant of the worker
 
     while (!ledger.exhausted() && !shared.stopped()) {
         if (shared.corpus->empty()) {
@@ -519,15 +516,17 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel,
             decision.seed_bucket, mut::MutationType::ArgumentMutation,
             loc.channel);
 
-        // Instantiate + execute per site on one scratch copy of the
-        // base per round. Each instantiation records what it overwrote
-        // (the target argument's values, its old pointee, the length
-        // writes) in the worker's undo record, and replaying it after
-        // the execute stage restores the base exactly: a mutant costs
-        // what it changed, not a copy of its call.
+        // Instantiate + execute on one scratch copy of the base per
+        // round. Every mutant of the round, argument-lane and
+        // structural alike, is made in place on that scratch: the
+        // mutation records what it overwrote (an argument's values,
+        // its old pointee and the length writes; an inserted call's
+        // position; a removed call and the references it orphaned) in
+        // the worker's undo record, and replaying the record after the
+        // execute stage restores the base exactly. A mutant costs what
+        // it changed, not a copy of the program.
         prog::Prog mutant;
-        if (!loc.sites.empty())
-            mutant.calls = base_program.calls;
+        mutant.calls = base_program.calls;
         for (const auto &site : loc.sites) {
             for (size_t m = 0;
                  m < opts.mutations_per_site && !ledger.exhausted();
@@ -547,7 +546,7 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel,
                                 &site, /*bounded=*/true, arg_arm,
                                 &base_program, &base_result);
                 }
-                undo.restore();
+                undo.restore(mutant);
                 if (!instantiated)
                     break;
             }
@@ -562,8 +561,6 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel,
         for (size_t s = 0; s < opts.structural_mutations_per_base &&
                            !ledger.exhausted();
              ++s) {
-            prog::Prog mutant;
-            mutant.calls = base_program.calls;
             mut::MutationType op;
             {
                 boardStage(env, obs::WorkerStage::Instantiate);
@@ -580,15 +577,15 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel,
                         fallback.localize(mutant, *env.rng, 1);
                     if (!fallback_sites.empty()) {
                         env.mutator->instantiateArgMutation(
-                            mutant, fallback_sites[0], *env.rng);
+                            mutant, fallback_sites[0], *env.rng, &undo);
                     }
                     break;
                   }
                   case mut::MutationType::CallInsertion:
-                    env.mutator->insertCall(mutant, *env.rng);
+                    env.mutator->insertCall(mutant, *env.rng, &undo);
                     break;
                   case mut::MutationType::CallRemoval:
-                    env.mutator->removeCall(mutant, *env.rng);
+                    env.mutator->removeCall(mutant, *env.rng, &undo);
                     break;
                 }
             }
@@ -597,6 +594,7 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel,
                         shared.policy->armFor(
                             decision.seed_bucket, op,
                             mut::LocalizerChannel::Random));
+            undo.restore(mutant);
         }
     }
     boardStage(env, obs::WorkerStage::Idle);
@@ -687,6 +685,29 @@ finalizeCampaign(CampaignShared &shared, double wall_sec,
             reg);
     }
     return report;
+}
+
+/**
+ * Whether `plan` lays out every block's successor slots as the
+ * kernel's successor table does (taken, then a distinct fallthrough),
+ * which the fast backend's hit counting relies on. True for any plan
+ * built from this kernel's staticEdges().
+ */
+bool
+planMatchesKernel(const obs::CovMapPlan &plan, const kern::Kernel &kernel)
+{
+    const auto &succ = kernel.successorTable();
+    if (plan.num_blocks != succ.size())
+        return false;
+    for (size_t b = 0; b < succ.size(); ++b) {
+        const auto &to = plan.succ[b].to;
+        const uint32_t second = succ[b].fallthrough == succ[b].taken
+                                    ? obs::CovMapPlan::kNone
+                                    : succ[b].fallthrough;
+        if (to[0] != succ[b].taken || to[1] != second)
+            return false;
+    }
+    return true;
 }
 
 CampaignOptions
@@ -805,6 +826,9 @@ CampaignEngine::runUntil(const StopPredicate &stop)
         }
     } provider_guard{campaign_status};
 
+    SP_ASSERT(opts_.fuzz.covmap == nullptr ||
+                  planMatchesKernel(opts_.fuzz.covmap->plan(), kernel_),
+              "covmap plan was not built from this kernel's static edges");
     std::vector<WorkerEnv> envs(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
         WorkerEnv &env = envs[w];

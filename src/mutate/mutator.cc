@@ -104,21 +104,39 @@ mutateResource(Arg &arg, const prog::Prog &prog, size_t call_index,
 }  // namespace
 
 void
-ArgUndo::restore()
+MutationUndo::restore(prog::Prog &prog)
 {
-    for (auto it = lengths.rbegin(); it != lengths.rend(); ++it)
-        it->arg->scalar = it->old_value;
-    lengths.clear();
-    if (target == nullptr)
+    const auto offset = static_cast<ptrdiff_t>(position);
+    switch (op) {
+      case Op::None:
         return;
-    target->scalar = scalar;
-    target->is_null = is_null;
-    target->result_ref = result_ref;
-    if (target->type->kind == TypeKind::Buffer)
-        target->bytes.swap(bytes);
-    else if (target->type->kind == TypeKind::Ptr)
-        target->pointee = std::move(pointee);
-    target = nullptr;
+      case Op::Argument:
+        for (auto it = lengths.rbegin(); it != lengths.rend(); ++it)
+            it->arg->scalar = it->old_value;
+        lengths.clear();
+        target->scalar = scalar;
+        target->is_null = is_null;
+        target->result_ref = result_ref;
+        if (target->type->kind == TypeKind::Buffer)
+            target->bytes.swap(bytes);
+        else if (target->type->kind == TypeKind::Ptr)
+            target->pointee = std::move(pointee);
+        target = nullptr;
+        break;
+      case Op::Insertion:
+        prog.calls.erase(prog.calls.begin() + offset);
+        prog::shiftResultRefs(prog, position, -1);
+        break;
+      case Op::Removal:
+        prog::shiftResultRefs(prog, position, +1);
+        prog.calls.insert(prog.calls.begin() + offset, std::move(removed));
+        for (Arg *arg : orphaned)
+            arg->result_ref = static_cast<int32_t>(position);
+        orphaned.clear();
+        removed = prog::Call();
+        break;
+    }
+    op = Op::None;
 }
 
 Mutator::Mutator(const prog::SyscallTable &table, MutatorOptions opts)
@@ -150,10 +168,9 @@ Mutator::selectType(Rng &rng, const prog::Prog &prog) const
 
 bool
 Mutator::instantiateArgMutation(prog::Prog &prog, const ArgLocation &loc,
-                                Rng &rng, ArgUndo *undo) const
+                                Rng &rng, MutationUndo *undo) const
 {
-    SP_ASSERT(undo == nullptr ||
-                  (undo->target == nullptr && undo->lengths.empty()),
+    SP_ASSERT(undo == nullptr || undo->empty(),
               "instantiating over an unrestored undo record");
     if (loc.call_index >= prog.calls.size())
         return false;
@@ -189,6 +206,7 @@ Mutator::instantiateArgMutation(prog::Prog &prog, const ArgLocation &loc,
         return false;  // not directly mutable
     }
     if (undo != nullptr) {
+        undo->op = MutationUndo::Op::Argument;
         undo->target = &arg;
         undo->scalar = arg.scalar;
         undo->is_null = arg.is_null;
@@ -234,8 +252,10 @@ Mutator::instantiateArgMutation(prog::Prog &prog, const ArgLocation &loc,
 }
 
 void
-Mutator::insertCall(prog::Prog &prog, Rng &rng) const
+Mutator::insertCall(prog::Prog &prog, Rng &rng, MutationUndo *undo) const
 {
+    SP_ASSERT(undo == nullptr || undo->empty(),
+              "inserting over an unrestored undo record");
     if (prog.calls.size() >= opts_.max_calls)
         return;
     // Prefer decls whose consumed resources are producible in-program.
@@ -272,20 +292,32 @@ Mutator::insertCall(prog::Prog &prog, Rng &rng) const
             mutateResource(arg, prog, position, rng);
         });
     prog::fixupLengths(inserted);
+    if (undo != nullptr) {
+        undo->op = MutationUndo::Op::Insertion;
+        undo->position = position;
+    }
 }
 
 void
-Mutator::removeCall(prog::Prog &prog, Rng &rng) const
+Mutator::removeCall(prog::Prog &prog, Rng &rng, MutationUndo *undo) const
 {
+    SP_ASSERT(undo == nullptr || undo->empty(),
+              "removing over an unrestored undo record");
     if (prog.calls.size() <= 1)
         return;
     const size_t position = rng.below(prog.calls.size());
-    prog.calls.erase(prog.calls.begin() +
-                     static_cast<ptrdiff_t>(position));
+    const auto at = prog.calls.begin() + static_cast<ptrdiff_t>(position);
+    if (undo != nullptr) {
+        undo->op = MutationUndo::Op::Removal;
+        undo->position = position;
+        undo->removed = std::move(*at);
+    }
+    prog.calls.erase(at);
     // shiftResultRefs only rewrites reference values, so running it
     // after the erase is equivalent: refs to `position` become invalid
     // handles, later refs shift down by one.
-    prog::shiftResultRefs(prog, position, -1);
+    prog::shiftResultRefs(prog, position, -1,
+                          undo != nullptr ? &undo->orphaned : nullptr);
 }
 
 prog::Prog

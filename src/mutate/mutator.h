@@ -39,25 +39,48 @@ struct MutatorOptions
 };
 
 /**
- * What one argument instantiation overwrote, so the caller can put the
- * base program back without copying it: the target node's value
- * fields, its old pointee (moved out, not cloned), and every length
- * write the re-fixup made. Logging writes instead of recomputing
- * lengths keeps the restore exact even for a base whose lengths were
- * stale. One per worker; restore() empties it for the next mutant.
+ * What one mutation overwrote, so the caller can put the base program
+ * back without copying it. One per worker; restore(prog) returns
+ * `prog` to its state before the mutation and empties the record.
+ *
+ *  - Argument instantiation: the target node's value fields, its old
+ *    pointee (moved out, not cloned), and every length write the
+ *    re-fixup made. Logging writes instead of recomputing lengths
+ *    keeps the restore exact even for a base whose lengths were stale.
+ *  - Call insertion: the position. Restore erases the call and shifts
+ *    the later references back down.
+ *  - Call removal: the call (moved out) and the references the removal
+ *    invalidated. Restore shifts the later references back up, moves
+ *    the call back in and points the invalidated references at it.
  */
-struct ArgUndo
+struct MutationUndo
 {
-    prog::Arg *target = nullptr;  ///< null = nothing recorded
+    enum class Op : uint8_t { None, Argument, Insertion, Removal };
+
+    Op op = Op::None;
+
+    /** @name Argument instantiation */
+    /** @{ */
+    prog::Arg *target = nullptr;  ///< null = no argument recorded
     uint64_t scalar = 0;
     bool is_null = false;
     int32_t result_ref = -1;
     std::vector<uint8_t> bytes;  ///< saved for Buffer targets only
     prog::ArgPtr pointee;        ///< moved out of Ptr targets only
     std::vector<prog::LengthWrite> lengths;
+    /** @} */
 
-    /** Undo the length writes newest-first, then the target. */
-    void restore();
+    /** @name Call insertion / removal */
+    /** @{ */
+    size_t position = 0;
+    prog::Call removed;                ///< the removed call, moved out
+    std::vector<prog::Arg *> orphaned;  ///< refs the removal set to -1
+    /** @} */
+
+    bool empty() const { return op == Op::None; }
+
+    /** Undo the recorded mutation of `prog`; a no-op when empty. */
+    void restore(prog::Prog &prog);
 };
 
 /** Mutation engine bound to one syscall table. */
@@ -74,17 +97,22 @@ class Mutator
      * values for the located argument and re-fix lengths. Returns false
      * when the location no longer exists in this program (stale after
      * other mutations). When `undo` is non-null (and empty), it records
-     * everything the instantiation overwrote; undo->restore() then
+     * everything the instantiation overwrote; undo->restore(prog) then
      * returns `prog` to its prior state exactly.
      */
     bool instantiateArgMutation(prog::Prog &prog, const ArgLocation &loc,
-                                Rng &rng, ArgUndo *undo = nullptr) const;
+                                Rng &rng,
+                                MutationUndo *undo = nullptr) const;
 
-    /** Insert a freshly generated call at a random position. */
-    void insertCall(prog::Prog &prog, Rng &rng) const;
+    /** Insert a freshly generated call at a random position; `undo`
+     *  as for instantiateArgMutation. */
+    void insertCall(prog::Prog &prog, Rng &rng,
+                    MutationUndo *undo = nullptr) const;
 
-    /** Remove a random call, invalidating references to it. */
-    void removeCall(prog::Prog &prog, Rng &rng) const;
+    /** Remove a random call, invalidating references to it; `undo` as
+     *  for instantiateArgMutation. */
+    void removeCall(prog::Prog &prog, Rng &rng,
+                    MutationUndo *undo = nullptr) const;
 
     /**
      * Full mutate_test pipeline: select a type, localize with

@@ -46,15 +46,20 @@ CovMapPlan::build(
     plan.edges.erase(std::unique(plan.edges.begin(), plan.edges.end()),
                      plan.edges.end());
     plan.succ.assign(num_blocks, {});
-    for (uint32_t e = 0; e < plan.edges.size(); ++e) {
-        const auto [from, to] = plan.edges[e];
+    for (const auto &edge : static_edges) {
+        const auto [from, to] = edge;
         if (from >= num_blocks)
             continue;
         Successors &succ = plan.succ[from];
         for (size_t slot = 0; slot < 2; ++slot) {
+            if (succ.to[slot] == to)
+                break;  // a duplicate of this slot's edge
             if (succ.to[slot] == kNone) {
                 succ.to[slot] = to;
-                succ.edge[slot] = e;
+                succ.edge[slot] = static_cast<uint32_t>(
+                    std::lower_bound(plan.edges.begin(), plan.edges.end(),
+                                     edge) -
+                    plan.edges.begin());
                 break;
             }
         }
@@ -85,24 +90,6 @@ CovShard::CovShard(const CovMapPlan *plan) : plan_(plan)
     for (size_t i = 0; i < plan->numEdges(); ++i)
         edge_hits_[i].store(0, std::memory_order_relaxed);
 }
-
-namespace {
-
-/**
- * Single-writer increment: each counter has exactly one writing
- * thread (the shard's worker), so a relaxed load+store pair is the
- * same count as fetch_add without the read-modify-write lock — the
- * difference between a plain add and `lock xadd` on every visited
- * block is most of the recording overhead budget.
- */
-inline void
-bump(std::atomic<uint64_t> &counter)
-{
-    counter.store(counter.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-}
-
-}  // namespace
 
 void
 CovShard::recordTrace(const std::vector<uint32_t> &blocks)
@@ -246,7 +233,9 @@ computeFrontier(const CovMapPlan &plan,
               [](const FrontierEntry &a, const FrontierEntry &b) {
                   if (a.guard_hits != b.guard_hits)
                       return a.guard_hits > b.guard_hits;
-                  return a.target < b.target;
+                  if (a.target != b.target)
+                      return a.target < b.target;
+                  return a.guard < b.guard;
               });
     if (cap > 0 && frontier.size() > cap)
         frontier.resize(cap);

@@ -36,7 +36,8 @@
  * least one was never reached; each unreached successor is a *frontier
  * target*, ranked by guard hit count (descending — the branches a
  * campaign keeps reaching but never crosses are the best directed
- * targets) with block id as the deterministic tie-break. Shard merging
+ * targets) with target then guard block id as the deterministic
+ * tie-breaks. Shard merging
  * is a commutative sum, so the final map and the ranked target set are
  * independent of worker count and merge interleaving for a fixed
  * multiset of recorded traces.
@@ -65,7 +66,11 @@ struct CovMapPlan
     static constexpr uint32_t kNone = ~0u;
 
     /** One block's static successors and their dense edge ids,
-     *  kNone-padded: one 16-byte record, one cache access per step. */
+     *  kNone-padded: one 16-byte record, one cache access per step.
+     *  Slots follow the order the block's edges are listed in at
+     *  build(): Kernel::staticEdges() lists the taken successor, then
+     *  a distinct fallthrough, so slot k is the kernel's successor
+     *  slot k (the slot exec::DenseCoverage indexes). */
     struct Successors
     {
         std::array<uint32_t, 2> to{kNone, kNone};
@@ -81,10 +86,12 @@ struct CovMapPlan
     size_t numEdges() const { return edges.size(); }
 
     /**
-     * Build the plan from plain CFG data. Duplicate edges are folded;
-     * a block's third and further distinct successors (impossible for
-     * two-way branch CFGs, tolerated for robustness) stay out of the
-     * dense index and count as stray transitions at record time.
+     * Build the plan from plain CFG data. Dense edge ids follow the
+     * sorted unique edge list; a block's successor slots follow the
+     * input order. Duplicate edges are folded; a block's third and
+     * further distinct successors (impossible for two-way branch CFGs,
+     * tolerated for robustness) stay out of the successor slots and
+     * count as stray transitions at record time.
      */
     static CovMapPlan build(
         size_t num_blocks,
@@ -115,10 +122,45 @@ class CovShard
      *  static-edge hits; non-static transitions tally as stray. */
     void recordTrace(const std::vector<uint32_t> &blocks);
 
+    /**
+     * @name Per-step hooks
+     * The same counting recordTrace does, one trace step at a time, for
+     * the fast executor's coverage pass (exec::DenseCoverage), which
+     * already resolves every step against the plan's successor slots.
+     * Ids must be in the plan's range.
+     */
+    /** @{ */
+    const CovMapPlan &plan() const { return *plan_; }
+    /** A trace starts at `block`: a direct entry. */
+    void enter(uint32_t block) { bump(block_hits_[block]); }
+    /** A step crossed static edge `edge` (a dense id). */
+    void cross(uint32_t edge) { bump(edge_hits_[edge]); }
+    /** A step reached `block` over a non-static transition. */
+    void stray(uint32_t block)
+    {
+        bump(stray_edges_);
+        bump(block_hits_[block]);
+    }
+    /** @} */
+
   private:
     friend class CovMap;
 
     explicit CovShard(const CovMapPlan *plan);
+
+    /**
+     * Single-writer increment: each counter has exactly one writing
+     * thread (the shard's worker), so a relaxed load+store pair is the
+     * same count as fetch_add without the read-modify-write lock — the
+     * difference between a plain add and `lock xadd` on every visited
+     * block is most of the recording overhead budget.
+     */
+    static void
+    bump(std::atomic<uint64_t> &counter)
+    {
+        counter.store(counter.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+    }
 
     const CovMapPlan *plan_;
     /** Direct entries only (see the class comment). */
@@ -157,7 +199,8 @@ struct FrontierEntry
 /**
  * Ranked cold-frontier targets over a merged block-hit map: every
  * unreached static successor of a reached two-way branch, ordered by
- * guard hits descending then target block id ascending (deterministic).
+ * guard hits descending, then target and guard block id ascending (a
+ * total order, so the ranking does not depend on slot order).
  * `cap` > 0 truncates. Shared by the live CovMap summary and the
  * offline analyzer so both rank identically.
  */

@@ -101,34 +101,64 @@ identityReturns(size_t calls)
     return table;
 }
 
+namespace {
+
+MutationPoint
+pointAt(const SlotDesc &slot)
+{
+    MutationPoint point;
+    point.path = slot.path;
+    point.type = slot.type;
+    point.first_slot = slot.index;
+    return point;
+}
+
+}  // namespace
+
 std::vector<MutationPoint>
 mutationPoints(const Call &call)
 {
+    const auto &slots = call.decl->slots();
     std::vector<MutationPoint> points;
-    for (const auto &slot : call.decl->slots()) {
-        if (!slot.is_mutable)
-            continue;
-        // A buffer contributes two slots; collapse onto one point.
-        if (!points.empty() && points.back().path == slot.path)
-            continue;
-        if (!reachable(call, slot))
-            continue;
-        MutationPoint point;
-        point.path = slot.path;
-        point.type = slot.type;
-        point.first_slot = slot.index;
-        points.push_back(std::move(point));
-    }
+    for (uint32_t s : call.decl->mutationPointSlots())
+        if (reachable(call, slots[s]))
+            points.push_back(pointAt(slots[s]));
     return points;
 }
 
 bool
 hasMutationPoint(const Call &call)
 {
-    for (const auto &slot : call.decl->slots())
-        if (slot.is_mutable && reachable(call, slot))
+    const auto &slots = call.decl->slots();
+    for (uint32_t s : call.decl->mutationPointSlots())
+        if (reachable(call, slots[s]))
             return true;
     return false;
+}
+
+size_t
+countMutationPoints(const Call &call)
+{
+    const auto &slots = call.decl->slots();
+    size_t count = 0;
+    for (uint32_t s : call.decl->mutationPointSlots())
+        count += reachable(call, slots[s]);
+    return count;
+}
+
+MutationPoint
+mutationPointAt(const Call &call, size_t k)
+{
+    const auto &slots = call.decl->slots();
+    size_t left = k;
+    for (uint32_t s : call.decl->mutationPointSlots()) {
+        if (!reachable(call, slots[s]))
+            continue;
+        if (left-- == 0)
+            return pointAt(slots[s]);
+    }
+    SP_PANIC("mutation point %zu out of range for %s", k,
+             call.decl->name.c_str());
 }
 
 size_t
@@ -136,7 +166,7 @@ countMutableArgs(const Prog &prog)
 {
     size_t total = 0;
     for (const auto &call : prog.calls)
-        total += mutationPoints(call).size();
+        total += countMutationPoints(call);
     return total;
 }
 

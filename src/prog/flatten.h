@@ -72,11 +72,22 @@ struct MutationPoint
     uint32_t first_slot = 0;     ///< first slot owned by the node
 };
 
-/** All mutation points of a call, in flattening order. */
+/**
+ * All mutation points of a call, in flattening order: the decl's
+ * mutationPointSlots() whose node exists in this value (a point inside
+ * a null pointer has no node until the pointer is filled in).
+ */
 std::vector<MutationPoint> mutationPoints(const Call &call);
 
 /** Same as `!mutationPoints(call).empty()`, without building them. */
 bool hasMutationPoint(const Call &call);
+
+/** Same as `mutationPoints(call).size()`, without building them. */
+size_t countMutationPoints(const Call &call);
+
+/** Same as `mutationPoints(call)[k]`, building only that point;
+ *  `k` must be below countMutationPoints(call). */
+MutationPoint mutationPointAt(const Call &call, size_t k);
 
 /**
  * Total number of mutation points across all calls of a program

@@ -170,6 +170,15 @@ void
 SyscallDecl::finalize()
 {
     slots_ = enumerateSlots(*this);
+    point_slots_.clear();
+    for (const auto &slot : slots_) {
+        // A buffer contributes two slots; collapse onto one point.
+        if (slot.is_mutable &&
+            (point_slots_.empty() ||
+             slots_[point_slots_.back()].path != slot.path)) {
+            point_slots_.push_back(slot.index);
+        }
+    }
     consumed_kinds_.clear();
     for (const auto &arg : args)
         collectConsumedKinds(*arg, consumed_kinds_);
@@ -181,6 +190,13 @@ SyscallDecl::slots() const
 {
     SP_ASSERT(finalized_, "decl %s was never finalized", name.c_str());
     return slots_;
+}
+
+const std::vector<uint32_t> &
+SyscallDecl::mutationPointSlots() const
+{
+    SP_ASSERT(finalized_, "decl %s was never finalized", name.c_str());
+    return point_slots_;
 }
 
 const std::vector<std::string> &

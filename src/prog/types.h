@@ -128,8 +128,8 @@ struct SyscallDecl
     std::string ret_resource;    ///< produced resource kind ("" if none)
 
     /**
-     * Derive the decl's static layout from `args`: its slot layout and
-     * the resource kinds it consumes. Whoever builds a table calls this
+     * Derive the decl's static layout from `args`: its slot layout,
+     * its mutation-point slots and the resource kinds it consumes. Whoever builds a table calls this
      * after the decl's last edit (KernelBuilder::beginHandler does).
      * The layout lives in the decl rather than in a cache keyed by its
      * address, so it travels with copies.
@@ -139,11 +139,19 @@ struct SyscallDecl
     /** The slot layout, enumerateSlots(*this) as of finalize(). */
     const std::vector<SlotDesc> &slots() const;
 
+    /**
+     * Indices into slots() of the slots that start a mutation point:
+     * every mutable slot, a buffer's length and content slots
+     * collapsed onto the first (see flatten.h, MutationPoint).
+     */
+    const std::vector<uint32_t> &mutationPointSlots() const;
+
     /** Resource kinds any argument subtree consumes, as of finalize(). */
     const std::vector<std::string> &consumedResourceKinds() const;
 
   private:
     std::vector<SlotDesc> slots_;
+    std::vector<uint32_t> point_slots_;
     std::vector<std::string> consumed_kinds_;
     bool finalized_ = false;
 };

@@ -1,7 +1,5 @@
 #include "prog/value.h"
 
-#include <functional>
-
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -334,38 +332,52 @@ argAtPath(const Call &call, const std::vector<uint16_t> &path)
     return argAtPathImpl<const Call, const Arg>(call, path);
 }
 
+namespace {
+
 void
-shiftResultRefs(Prog &prog, size_t position, int delta)
+shiftRefs(Arg &node, size_t position, int delta,
+          std::vector<Arg *> *orphaned)
+{
+    switch (node.type->kind) {
+      case TypeKind::Resource: {
+        if (node.result_ref < 0)
+            break;
+        const auto ref = static_cast<size_t>(node.result_ref);
+        if (delta == 1) {
+            if (ref >= position)
+                node.result_ref += 1;
+        } else if (ref == position) {
+            node.result_ref = -1;
+            if (orphaned != nullptr)
+                orphaned->push_back(&node);
+        } else if (ref > position) {
+            node.result_ref -= 1;
+        }
+        break;
+      }
+      case TypeKind::Ptr:
+        if (!node.is_null)
+            shiftRefs(*node.pointee, position, delta, orphaned);
+        break;
+      case TypeKind::Struct:
+        for (auto &f : node.fields)
+            shiftRefs(*f, position, delta, orphaned);
+        break;
+      default:
+        break;
+    }
+}
+
+}  // namespace
+
+void
+shiftResultRefs(Prog &prog, size_t position, int delta,
+                std::vector<Arg *> *orphaned)
 {
     SP_ASSERT(delta == 1 || delta == -1);
-    for (auto &call : prog.calls) {
-        for (auto &arg : call.args) {
-            std::vector<uint16_t> path;
-            // Walk the whole tree adjusting resource references.
-            std::function<void(Arg &)> walk = [&](Arg &node) {
-                if (node.type->kind == TypeKind::Resource &&
-                    node.result_ref >= 0) {
-                    const auto ref = static_cast<size_t>(node.result_ref);
-                    if (delta == 1) {
-                        if (ref >= position)
-                            node.result_ref += 1;
-                    } else {
-                        if (ref == position)
-                            node.result_ref = -1;
-                        else if (ref > position)
-                            node.result_ref -= 1;
-                    }
-                } else if (node.type->kind == TypeKind::Ptr &&
-                           !node.is_null) {
-                    walk(*node.pointee);
-                } else if (node.type->kind == TypeKind::Struct) {
-                    for (auto &f : node.fields)
-                        walk(*f);
-                }
-            };
-            walk(*arg);
-        }
-    }
+    for (auto &call : prog.calls)
+        for (auto &arg : call.args)
+            shiftRefs(*arg, position, delta, orphaned);
 }
 
 }  // namespace sp::prog

@@ -128,9 +128,11 @@ const Arg &argAtPath(const Call &call, const std::vector<uint16_t> &path);
 /**
  * Rewrite result_ref indices after inserting (delta=+1) or removing
  * (delta=-1) the call at `position`. References to a removed call become
- * invalid handles (result_ref = -1).
+ * invalid handles (result_ref = -1); when `orphaned` is non-null, each
+ * node so invalidated is appended to it, so an undo can point it back.
  */
-void shiftResultRefs(Prog &prog, size_t position, int delta);
+void shiftResultRefs(Prog &prog, size_t position, int delta,
+                     std::vector<Arg *> *orphaned = nullptr);
 
 }  // namespace sp::prog
 

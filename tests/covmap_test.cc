@@ -81,6 +81,31 @@ TEST(CovMapPlan, BuildDedupesAndIndexesEdges)
     EXPECT_EQ(plan.succ[3].to[0], CovMapPlan::kNone);
 }
 
+TEST(CovMapPlan, SlotsFollowInputOrderIdsFollowSortedOrder)
+{
+    // Block 0 lists (0,2) before (0,1): slot 0 is block 2, but the
+    // dense ids come from the sorted edge list.
+    auto plan = CovMapPlan::build(3, {{0, 2}, {0, 1}, {0, 2}});
+    EXPECT_EQ(plan.succ[0].to[0], 2u);
+    EXPECT_EQ(plan.succ[0].to[1], 1u);
+    EXPECT_EQ(plan.succ[0].edge[0], 1u);
+    EXPECT_EQ(plan.succ[0].edge[1], 0u);
+    EXPECT_EQ(plan.edges[0], Edge(0, 1));
+
+    // A kernel's plan lays slots out as its successor table does.
+    const auto &kernel = testKernel();
+    const auto kplan =
+        CovMapPlan::build(kernel.blocks().size(), kernel.staticEdges());
+    const auto &succ = kernel.successorTable();
+    ASSERT_EQ(kplan.num_blocks, succ.size());
+    for (size_t b = 0; b < succ.size(); ++b) {
+        EXPECT_EQ(kplan.succ[b].to[0], succ[b].taken);
+        if (succ[b].fallthrough != succ[b].taken) {
+            EXPECT_EQ(kplan.succ[b].to[1], succ[b].fallthrough);
+        }
+    }
+}
+
 TEST(CovShard, RecordsBlocksEdgesAndStrays)
 {
     CovMap map(diamondPlan(), /*workers=*/1);
@@ -371,6 +396,37 @@ TEST(CovMapCampaign, CovmapCountersCountOneCampaign)
         EXPECT_EQ(map.summary().windows, 7u);
         EXPECT_EQ(engine.metrics().counter("covmap.windows").value(),
                   map.summary().windows);
+    }
+}
+
+CovCounts
+campaignCounts(exec::BackendKind backend, uint64_t seed)
+{
+    const auto &kernel = testKernel();
+    CovMap map(CovMapPlan::build(kernel.blocks().size(),
+                                 kernel.staticEdges()),
+               1);
+    auto opts = smallCampaign(1, seed);
+    opts.fuzz.noisy = true;
+    opts.fuzz.exec_backend = backend;
+    opts.fuzz.covmap = &map;
+    fuzz::CampaignEngine engine(kernel, opts, randomLocalizers());
+    engine.run();
+    return map.merged();
+}
+
+TEST(CovMapCampaign, FastBackendCountsWhatRecordTraceCounts)
+{
+    // The fast backend counts hits inside its coverage pass; the
+    // reference backend calls recordTrace over each call's trace. The
+    // backends execute bit-identically, so a noisy campaign (stray
+    // interrupt transitions included) must merge to equal counts.
+    for (const uint64_t seed : {31, 32}) {
+        const CovCounts fast = campaignCounts(exec::BackendKind::Fast, seed);
+        const CovCounts ref =
+            campaignCounts(exec::BackendKind::Reference, seed);
+        EXPECT_GT(fast.stray, 0u);
+        EXPECT_EQ(fast, ref);
     }
 }
 

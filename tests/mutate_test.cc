@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <utility>
 
 #include "kernel/subsystems.h"
@@ -79,6 +80,96 @@ TEST(Localizer, HasArgLocationMatchesAllArgLocations)
     EXPECT_EQ(allArgLocations(program).size(), 1u);
 
     EXPECT_FALSE(hasArgLocation(prog::Prog{}));
+}
+
+/** The sampler RandomLocalizer ran before it learned to build only
+ *  the chosen sites: the same draws over allArgLocations(prog). */
+std::vector<ArgLocation>
+referenceLocalize(const prog::Prog &prog, Rng &rng, size_t max_sites)
+{
+    auto all = allArgLocations(prog);
+    if (all.empty())
+        return {};
+
+    std::vector<ArgLocation> chosen;
+    // 0.5 is RandomLocalizer's default arity bias.
+    if (rng.chance(0.5) && prog.calls.size() > 1) {
+        size_t best_call = 0, best_arity = 0;
+        std::vector<size_t> per_call(prog.calls.size(), 0);
+        for (const auto &loc : all)
+            ++per_call[loc.call_index];
+        for (size_t i = 0; i < per_call.size(); ++i) {
+            if (per_call[i] > best_arity) {
+                best_arity = per_call[i];
+                best_call = i;
+            }
+        }
+        std::vector<size_t> pool;
+        for (size_t i = 0; i < all.size(); ++i)
+            if (all[i].call_index == best_call)
+                pool.push_back(i);
+        const size_t take = std::min(max_sites, pool.size());
+        for (size_t pi : rng.sampleIndices(pool.size(), take))
+            chosen.push_back(all[pool[pi]]);
+    } else {
+        const size_t take = std::min(max_sites, all.size());
+        for (size_t i : rng.sampleIndices(all.size(), take))
+            chosen.push_back(all[i]);
+    }
+    return chosen;
+}
+
+bool
+samePoint(const prog::MutationPoint &a, const prog::MutationPoint &b)
+{
+    return a.path == b.path && a.type.get() == b.type.get() &&
+           a.first_slot == b.first_slot;
+}
+
+TEST(Localizer, RandomLocalizerMatchesTheAllLocationsSampler)
+{
+    // Half the programs are generated with many null optional
+    // pointers, whose pointee points must be skipped by both.
+    prog::GenOptions nully;
+    nully.null_ptr_prob = 0.5;
+    size_t programs_with_nulls = 0, sites = 0;
+    for (uint64_t p = 0; p < 200; ++p) {
+        Rng gen(7000 + p);
+        const prog::Prog program = prog::generateProg(
+            gen, testTable(), p % 2 == 0 ? prog::GenOptions{} : nully);
+
+        bool has_null = false;
+        for (const auto &call : program.calls) {
+            const auto points = prog::mutationPoints(call);
+            ASSERT_EQ(prog::countMutationPoints(call), points.size());
+            for (size_t k = 0; k < points.size(); ++k)
+                ASSERT_TRUE(samePoint(prog::mutationPointAt(call, k),
+                                      points[k]));
+            prog::visitArgs(call, [&](const prog::Arg &arg,
+                                      const std::vector<uint16_t> &) {
+                has_null |= arg.type->kind == prog::TypeKind::Ptr &&
+                            arg.is_null;
+            });
+        }
+        programs_with_nulls += has_null;
+
+        for (uint64_t seed = 0; seed < 5; ++seed) {
+            const size_t cap = std::array<size_t, 5>{1, 2, 3, 6, 100}[seed];
+            Rng a(p * 31 + seed), b(p * 31 + seed);
+            RandomLocalizer localizer;
+            const auto got = localizer.localize(program, a, cap);
+            const auto want = referenceLocalize(program, b, cap);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].call_index, want[i].call_index);
+                EXPECT_TRUE(samePoint(got[i].point, want[i].point));
+            }
+            EXPECT_EQ(a.next(), b.next());
+            sites += got.size();
+        }
+    }
+    EXPECT_GT(programs_with_nulls, 20u);
+    EXPECT_GT(sites, 1000u);
 }
 
 TEST(Localizer, RandomLocalizerRespectsCap)
@@ -202,13 +293,13 @@ TEST(Mutator, UndoRecordRestoresAnInstantiation)
 {
     // The campaign's argument lane mutates a scratch copy of the base
     // in place and undoes each mutant by replaying the instantiation's
-    // ArgUndo record. The restore must be exact for every write an
+    // MutationUndo record. The restore must be exact for every write an
     // instantiation makes: nested struct fields, regenerated and
     // nulled pointees, buffer resizes with their length writes, and
     // length fields that were stale before the mutation.
     Mutator mutator(testTable());
     Rng rng(43);
-    ArgUndo undo;
+    MutationUndo undo;
     size_t instantiated = 0, nested = 0, ptr_nulled = 0,
            ptr_regenerated = 0, resized_with_lengths = 0,
            stale_restored = 0;
@@ -256,7 +347,7 @@ TEST(Mutator, UndoRecordRestoresAnInstantiation)
                     !undo.lengths.empty();
                 stale_restored += stale && !undo.lengths.empty();
 
-                undo.restore();
+                undo.restore(scratch);
                 EXPECT_EQ(undo.target, nullptr);
                 EXPECT_TRUE(undo.lengths.empty());
                 ASSERT_TRUE(scratch.equals(base));
@@ -270,6 +361,169 @@ TEST(Mutator, UndoRecordRestoresAnInstantiation)
     EXPECT_GT(ptr_regenerated, 0u);
     EXPECT_GT(resized_with_lengths, 0u);
     EXPECT_GT(stale_restored, 0u);
+}
+
+TEST(Mutator, UndoRecordRestoresEveryOperator)
+{
+    // The campaign's structural lane mutates the round's scratch copy
+    // in place too: insertions, removals and the random-site argument
+    // fallback, each undone before the next mutant.
+    Mutator mutator(testTable());
+    RandomLocalizer fallback;
+    Rng rng(47);
+    MutationUndo undo;
+    size_t inserted = 0, removed = 0, orphans = 0, fallbacks = 0;
+    for (uint64_t p = 0; p < 500; ++p) {
+        const prog::Prog base = sampleProg(9000 + p);
+        const uint64_t hash = base.hash();
+        prog::Prog scratch;
+        scratch.calls = base.calls;
+        for (int op = 0; op < 3; ++op) {
+            switch (op) {
+              case 0:
+                mutator.insertCall(scratch, rng, &undo);
+                inserted += scratch.calls.size() == base.calls.size() + 1;
+                break;
+              case 1:
+                mutator.removeCall(scratch, rng, &undo);
+                removed += scratch.calls.size() + 1 == base.calls.size();
+                orphans += undo.orphaned.size();
+                break;
+              default: {
+                const auto sites = fallback.localize(scratch, rng, 1);
+                if (!sites.empty()) {
+                    fallbacks += mutator.instantiateArgMutation(
+                        scratch, sites[0], rng, &undo);
+                }
+                break;
+              }
+            }
+            EXPECT_FALSE(prog::validateProg(scratch).has_value());
+            undo.restore(scratch);
+            EXPECT_TRUE(undo.empty());
+            ASSERT_TRUE(scratch.equals(base)) << "operator " << op;
+            ASSERT_EQ(scratch.hash(), hash);
+        }
+    }
+    EXPECT_GT(inserted, 400u);
+    EXPECT_GT(removed, 400u);
+    EXPECT_GT(orphans, 0u);
+    EXPECT_GT(fallbacks, 400u);
+}
+
+/** A two-decl table: `open` produces an fd; `use` consumes one at top
+ *  level and one inside an optional pointer to a struct. */
+const prog::SyscallTable &
+resourceTable()
+{
+    static const prog::SyscallTable table = [] {
+        prog::SyscallTable t;
+        prog::SyscallDecl open;
+        open.name = "open";
+        open.id = 0;
+        open.args.push_back(prog::intType("flags", 32, 0, 7));
+        open.ret_resource = "fd";
+        prog::SyscallDecl use;
+        use.name = "use";
+        use.id = 1;
+        use.args.push_back(prog::resourceType("fd", "fd"));
+        use.args.push_back(prog::ptrType(
+            "req",
+            prog::structType("req_t", {prog::resourceType("fd2", "fd"),
+                                       prog::intType("v", 32, 0, 9)})));
+        t.decls.push_back(std::move(open));
+        t.decls.push_back(std::move(use));
+        for (auto &decl : t.decls)
+            decl.finalize();
+        return t;
+    }();
+    return table;
+}
+
+/** open; open; use(r1, &{r0}); use(r0, &{r1}) */
+prog::Prog
+resourceProg()
+{
+    const auto &table = resourceTable();
+    prog::Prog program;
+    auto add = [&](uint32_t decl, int32_t top, int32_t nested) {
+        prog::Call call;
+        call.decl = &table.decls[decl];
+        call.args = prog::defaultArgs(*call.decl);
+        if (decl == 1) {
+            call.args[0]->result_ref = top;
+            call.args[1]->pointee->fields[0]->result_ref = nested;
+        }
+        program.calls.push_back(std::move(call));
+    };
+    add(0, -1, -1);
+    add(0, -1, -1);
+    add(1, 1, 0);
+    add(1, 0, 1);
+    return program;
+}
+
+TEST(Mutator, UndoRestoresARemovedProducersConsumers)
+{
+    // Removing call 0 orphans both refs to it (one top-level, one
+    // nested behind a pointer) and shifts the refs to call 1 down;
+    // the restore must point the orphans back and shift the rest up.
+    Mutator mutator(resourceTable());
+    const prog::Prog base = resourceProg();
+    bool removed_first = false;
+    for (uint64_t seed = 0; seed < 64 && !removed_first; ++seed) {
+        Rng rng(seed);
+        prog::Prog scratch;
+        scratch.calls = base.calls;
+        MutationUndo undo;
+        mutator.removeCall(scratch, rng, &undo);
+        ASSERT_EQ(undo.op, MutationUndo::Op::Removal);
+        if (undo.position == 0) {
+            removed_first = true;
+            ASSERT_EQ(undo.orphaned.size(), 2u);
+            EXPECT_EQ(scratch.calls[1].args[0]->result_ref, 0);
+            EXPECT_EQ(scratch.calls[1].args[1]->pointee->fields[0]
+                          ->result_ref,
+                      -1);
+            EXPECT_EQ(scratch.calls[2].args[0]->result_ref, -1);
+            EXPECT_EQ(scratch.calls[2].args[1]->pointee->fields[0]
+                          ->result_ref,
+                      0);
+        }
+        undo.restore(scratch);
+        ASSERT_TRUE(scratch.equals(base));
+        ASSERT_EQ(prog::formatProg(scratch), prog::formatProg(base));
+    }
+    EXPECT_TRUE(removed_first);
+}
+
+TEST(Mutator, UndoRestoresAnInsertionAtTheFront)
+{
+    // Inserting at position 0 shifts every ref up by one; the restore
+    // erases the call and shifts them back.
+    Mutator mutator(resourceTable());
+    const prog::Prog base = resourceProg();
+    bool inserted_first = false;
+    for (uint64_t seed = 0; seed < 64 && !inserted_first; ++seed) {
+        Rng rng(seed);
+        prog::Prog scratch;
+        scratch.calls = base.calls;
+        MutationUndo undo;
+        mutator.insertCall(scratch, rng, &undo);
+        ASSERT_EQ(undo.op, MutationUndo::Op::Insertion);
+        ASSERT_EQ(scratch.calls.size(), base.calls.size() + 1);
+        if (undo.position == 0) {
+            inserted_first = true;
+            EXPECT_EQ(scratch.calls[3].args[0]->result_ref, 2);
+            EXPECT_EQ(scratch.calls[3].args[1]->pointee->fields[0]
+                          ->result_ref,
+                      1);
+        }
+        undo.restore(scratch);
+        ASSERT_TRUE(scratch.equals(base));
+        ASSERT_EQ(prog::formatProg(scratch), prog::formatProg(base));
+    }
+    EXPECT_TRUE(inserted_first);
 }
 
 TEST(Mutator, PtrMutationTogglesAndRegenerates)
