@@ -21,7 +21,8 @@
 #   8  decision-policy ablation sweep gate (thompson >= static)
 #   9  timeline observatory: artifact/report schema checks, byte
 #      equality and compare gate vs the committed BENCH_timeline.json
-#      baseline,
+#      baseline, byte equality of a PMM-localized campaign vs
+#      BENCH_timeline_pmm.json,
 #      static-vs-thompson verdict, recording-overhead gate (<1% of a
 #      checkpoint interval)
 #  10  fleet fabric: localhost coordinator + 4 nodes (one abandons its
@@ -621,10 +622,11 @@ PY
 # then commit the regenerated BENCH_timeline.json.
 tl_fresh=$(mktemp /tmp/sp_ci_tlfresh.XXXXXX.jsonl)
 tl_thompson=$(mktemp /tmp/sp_ci_tlthom.XXXXXX.jsonl)
+tl_pmm=$(mktemp /tmp/sp_ci_tlpmm.XXXXXX.jsonl)
 tl_cov=$(mktemp /tmp/sp_ci_tlcov.XXXXXX.jsonl)
 cmp_base=$(mktemp /tmp/sp_ci_cmpbase.XXXXXX.json)
 cmp_policy=$(mktemp /tmp/sp_ci_cmppol.XXXXXX.json)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_live" "$tl_live" "$tl_fresh" "$tl_thompson" "$tl_cov" "$cmp_base" "$cmp_policy"; rm -rf "$store_dir"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_live" "$tl_live" "$tl_fresh" "$tl_thompson" "$tl_pmm" "$tl_cov" "$cmp_base" "$cmp_policy"; rm -rf "$store_dir"' EXIT
 ./build/examples/snowplow_cli fuzz --budget 6000 --seed 5 --workers 1 \
     --policy static --covmap-out "$tl_cov" \
     --timeline-out "$tl_fresh" > /dev/null
@@ -637,6 +639,19 @@ trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_li
 cmp BENCH_timeline.json "$tl_fresh" || {
     echo "timeline: fresh static artifact differs from BENCH_timeline.json"
     echo "(if intentional, refresh BENCH_timeline.json — see above)"
+    exit 1; }
+# The same pin for a Snowplow-mode campaign: the pinned perfbench
+# model localizes every round, so a change to the PMM forward pass that
+# moves one prediction moves the mutants and fails here. Refresh with
+#   ./build/examples/snowplow_cli fuzz --budget 6000 --seed 5 \
+#       --workers 1 --policy static --pmm perfbench/model/pmm.ckpt \
+#       --timeline-out BENCH_timeline_pmm.json
+./build/examples/snowplow_cli fuzz --budget 6000 --seed 5 --workers 1 \
+    --policy static --pmm perfbench/model/pmm.ckpt \
+    --timeline-out "$tl_pmm" > /dev/null
+cmp BENCH_timeline_pmm.json "$tl_pmm" || {
+    echo "timeline: fresh PMM artifact differs from BENCH_timeline_pmm.json"
+    echo "(if intentional, refresh BENCH_timeline_pmm.json — see above)"
     exit 1; }
 ./build/examples/sp_analysis compare BENCH_timeline.json "$tl_fresh" \
     --out "$cmp_base" || {
@@ -830,7 +845,7 @@ PY
 # the process idles in --status-hold.
 fleet_tl=$(mktemp /tmp/sp_ci_fleettl.XXXXXX.jsonl)
 fleet_cmp=$(mktemp /tmp/sp_ci_fleetcmp.XXXXXX.json)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_live" "$tl_live" "$tl_fresh" "$tl_thompson" "$tl_cov" "$cmp_base" "$cmp_policy" "$fleet_tl" "$fleet_cmp"; rm -rf "$store_dir"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_live" "$tl_live" "$tl_fresh" "$tl_thompson" "$tl_pmm" "$tl_cov" "$cmp_base" "$cmp_policy" "$fleet_tl" "$fleet_cmp"; rm -rf "$store_dir"' EXIT
 python3 - "$fleet_tl" <<'PY'
 import json
 import re

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "nn/inference.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -18,7 +17,6 @@ struct InferMetrics
     obs::Counter &submitted;
     obs::Counter &completed;
     obs::Gauge &queue_depth;
-    obs::Gauge &arena_hit_ratio;
     obs::Histogram &latency_us;
     obs::Histogram &batch_size;
 
@@ -30,7 +28,6 @@ struct InferMetrics
             reg.counter("infer.submitted"),
             reg.counter("infer.completed"),
             reg.gauge("infer.queue_depth"),
-            reg.gauge("infer.arena_hit_ratio"),
             reg.histogram("infer.latency_us"),
             reg.histogram("infer.batch_size"),
         };
@@ -211,8 +208,6 @@ InferenceService::workerLoop(size_t worker)
 
         batches_.fetch_add(1, std::memory_order_relaxed);
         metrics.completed.inc(batch.size());
-        metrics.arena_hit_ratio.set(
-            nn::threadArenaStats().hitRatio());
         if (obs::timingEnabled())
             metrics.batch_size.record(
                 static_cast<double>(batch.size()));

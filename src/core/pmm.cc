@@ -1,7 +1,12 @@
 #include "core/pmm.h"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+
 #include "kernel/block.h"
-#include "nn/inference.h"
+#include "nn/gemm.h"
+#include "nn/rows.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -10,6 +15,125 @@ namespace sp::core {
 namespace {
 
 constexpr size_t kNumRelations = graph::kNumEdgeKinds * 2;
+constexpr float kAttentionSlope = 0.2f;  ///< leaky-relu slope of scores
+
+/**
+ * One relation's destination rows (nodes with an incoming edge), in
+ * order of first appearance, and its layer output on them.
+ */
+struct RelationRows
+{
+    /** Per node: its compact row, or -1 when no edge enters it. */
+    std::vector<int32_t> slot;
+    /** Per compact row: 1 / in-degree. */
+    std::vector<float> inv_degree;
+    /** [compact rows, dim]: the relation's Linear on pooled messages. */
+    std::vector<float> out;
+};
+
+/** Per-thread buffers of the tape-free forward pass (reused). */
+struct ForwardScratch
+{
+    std::vector<float> h, sum, tokens, pooled, endpoints, scores,
+        seg_max, seg_sum, head_in, head_out;
+    std::array<RelationRows, kNumRelations> rel;
+};
+
+/** out[i, :] = bias for every row, then out += a · linear.weight. */
+void
+affineInto(const nn::Linear &linear, const float *a, int64_t rows,
+           std::vector<float> &out)
+{
+    const int64_t m = linear.outFeatures();
+    const float *bias = linear.bias().data().data();
+    out.resize(static_cast<size_t>(rows * m));
+    for (int64_t i = 0; i < rows; ++i)
+        std::copy_n(bias, m, out.data() + i * m);
+    nn::gemmAcc(a, linear.weight().data().data(), out.data(), rows,
+                linear.inFeatures(), m);
+}
+
+/** h[i, :] += table[ids[i], :] (or = when `first`) over `rows` rows. */
+void
+addEmbedding(const nn::Embedding &emb, const std::vector<int32_t> &ids,
+             size_t rows, bool first, float *h)
+{
+    SP_ASSERT(ids.size() == rows, "node feature count mismatch");
+    const int64_t dim = emb.dim();
+    const float *table = emb.table().data().data();
+    for (size_t i = 0; i < rows; ++i) {
+        SP_ASSERT(ids[i] >= 0 && ids[i] < emb.vocab(),
+                  "embedding id out of range");
+        const float *row = table + ids[i] * dim;
+        float *dst = h + static_cast<int64_t>(i) * dim;
+        if (first)
+            std::copy_n(row, dim, dst);
+        else
+            nn::addRow(dst, row, dim);
+    }
+}
+
+/**
+ * Mean aggregation of one relation into s.pooled (destination rows,
+ * zeroed by the caller), as segmentMeanRows: edge-order sums, each
+ * scaled by 1 / in-degree.
+ */
+void
+meanInto(const graph::AdjList &adj, const RelationRows &rel, int64_t dim,
+         ForwardScratch &s)
+{
+    for (size_t e = 0; e < adj.src.size(); ++e) {
+        nn::addRow(s.pooled.data() + rel.slot[adj.dst[e]] * dim,
+                   s.h.data() + adj.src[e] * dim, dim);
+    }
+    for (size_t d = 0; d < rel.inv_degree.size(); ++d) {
+        nn::scaleRow(s.pooled.data() + static_cast<int64_t>(d) * dim,
+                     rel.inv_degree[d], dim);
+    }
+}
+
+/**
+ * GAT aggregation of one relation into s.pooled (destination rows,
+ * zeroed by the caller): the taped chain of gatherRows, concatCols,
+ * the attention Linear, leakyRelu, segmentSoftmax, rowScaleT and
+ * scatterAddRows, element for element.
+ */
+void
+attendInto(const nn::Linear &attention, const graph::AdjList &adj,
+           const RelationRows &rel, int64_t dim, ForwardScratch &s)
+{
+    const auto edges = static_cast<int64_t>(adj.src.size());
+    s.endpoints.resize(static_cast<size_t>(edges * 2 * dim));
+    for (int64_t e = 0; e < edges; ++e) {
+        float *row = s.endpoints.data() + e * 2 * dim;
+        std::copy_n(s.h.data() + adj.src[e] * dim, dim, row);
+        std::copy_n(s.h.data() + adj.dst[e] * dim, dim, row + dim);
+    }
+    affineInto(attention, s.endpoints.data(), edges, s.scores);
+    for (float &v : s.scores)
+        v = v > 0.0f ? v : kAttentionSlope * v;
+
+    const size_t dests = rel.inv_degree.size();
+    s.seg_max.assign(dests, -3.4e38f);
+    for (int64_t e = 0; e < edges; ++e) {
+        float &mx = s.seg_max[static_cast<size_t>(rel.slot[adj.dst[e]])];
+        mx = std::max(mx, s.scores[e]);
+    }
+    s.seg_sum.assign(dests, 0.0f);
+    for (int64_t e = 0; e < edges; ++e) {
+        const auto seg = static_cast<size_t>(rel.slot[adj.dst[e]]);
+        const float ex = std::exp(s.scores[e] - s.seg_max[seg]);
+        s.scores[e] = ex;
+        s.seg_sum[seg] += ex;
+    }
+    for (int64_t e = 0; e < edges; ++e)
+        s.scores[e] /= s.seg_sum[static_cast<size_t>(rel.slot[adj.dst[e]])];
+
+    for (int64_t e = 0; e < edges; ++e) {
+        nn::addScaledRow(s.pooled.data() + rel.slot[adj.dst[e]] * dim,
+                         s.h.data() + adj.src[e] * dim, s.scores[e], dim);
+    }
+}
 
 }  // namespace
 
@@ -81,16 +205,10 @@ Pmm::embedNodes(const graph::EncodedGraph &graph) const
     h = nn::add(h, target_emb_->forward(graph.target_flag));
 
     // Position-aware token encoder over the block-token window.
-    // Thread-local scratch keeps steady-state forward passes off the
-    // heap (the stale Tensor handles from the previous call are
-    // cleared here, releasing those nodes back to the arena).
     const int64_t window = graph::EncodeVocab::kTokenWindow;
     const auto n = static_cast<int64_t>(graph.node_kind.size());
-    thread_local std::vector<Tensor> per_position;
-    thread_local std::vector<int32_t> column;
-    per_position.clear();
-    per_position.reserve(static_cast<size_t>(window));
-    column.resize(static_cast<size_t>(n));
+    std::vector<Tensor> per_position;
+    std::vector<int32_t> column(static_cast<size_t>(n));
     for (int64_t p = 0; p < window; ++p) {
         for (int64_t i = 0; i < n; ++i) {
             column[static_cast<size_t>(i)] =
@@ -126,8 +244,9 @@ Pmm::nodeStates(const graph::EncodedGraph &graph, Rng *dropout_rng,
                 Tensor messages = nn::gatherRows(h, adj.src);
                 Tensor endpoints = nn::concatCols(
                     {messages, nn::gatherRows(h, adj.dst)});
-                Tensor scores = nn::leakyRelu(nn::flatten(
-                    layer.attention[r]->forward(endpoints)));
+                Tensor scores = nn::leakyRelu(
+                    nn::flatten(layer.attention[r]->forward(endpoints)),
+                    kAttentionSlope);
                 Tensor alpha =
                     nn::segmentSoftmax(scores, adj.dst,
                                        static_cast<int32_t>(n));
@@ -171,9 +290,126 @@ Pmm::predict(const graph::EncodedGraph &graph) const
 {
     if (graph.argument_nodes.empty())
         return {};
-    nn::InferenceScope scope;
-    nn::Tensor probs = nn::sigmoid(forward(graph));
-    return probs.data();
+    SP_ASSERT(graph.num_nodes > 0, "empty query graph");
+    thread_local ForwardScratch s;
+    const auto n = static_cast<int64_t>(graph.num_nodes);
+    const auto rows = static_cast<size_t>(n);
+    const int64_t dim = config_.dim;
+
+    // Embedding sums in the taped order, then the token projection as
+    // one GEMM over the per-node concatenated token embeddings.
+    s.h.resize(rows * static_cast<size_t>(dim));
+    float *h = s.h.data();
+    addEmbedding(*node_kind_emb_, graph.node_kind, rows, true, h);
+    addEmbedding(*syscall_emb_, graph.syscall_tok, rows, false, h);
+    addEmbedding(*arg_type_emb_, graph.arg_type_tok, rows, false, h);
+    addEmbedding(*arg_slot_emb_, graph.arg_slot_tok, rows, false, h);
+    addEmbedding(*target_emb_, graph.target_flag, rows, false, h);
+    const int64_t window = graph::EncodeVocab::kTokenWindow;
+    const int64_t token_dim = config_.token_dim;
+    SP_ASSERT(graph.block_tokens.size() == rows * window,
+              "block token count mismatch");
+    const float *token_table = token_emb_->table().data().data();
+    s.tokens.resize(rows * static_cast<size_t>(window * token_dim));
+    for (size_t t = 0; t < graph.block_tokens.size(); ++t) {
+        const int32_t tok = graph.block_tokens[t];
+        SP_ASSERT(tok >= 0 && tok < token_emb_->vocab(),
+                  "block token out of range");
+        std::copy_n(token_table + tok * token_dim, token_dim,
+                    s.tokens.data() + static_cast<int64_t>(t) * token_dim);
+    }
+    affineInto(*token_proj_, s.tokens.data(), n, s.sum);
+    for (int64_t i = 0; i < n; ++i) {
+        float *row = h + i * dim;
+        nn::addRow(row, s.sum.data() + i * dim, dim);
+        nn::layerNormRow(row, row, dim);
+    }
+
+    // Destination rows per relation: the same in every layer.
+    for (size_t r = 0; r < kNumRelations; ++r) {
+        const auto &adj = graph.adj[r];
+        RelationRows &rel = s.rel[r];
+        SP_ASSERT(adj.src.size() == adj.dst.size(), "relation edge lists");
+        rel.slot.assign(rows, -1);
+        rel.inv_degree.clear();
+        for (size_t e = 0; e < adj.dst.size(); ++e) {
+            const int32_t d = adj.dst[e];
+            SP_ASSERT(d >= 0 && d < n && adj.src[e] >= 0 && adj.src[e] < n,
+                      "relation edge out of range");
+            int32_t &slot = rel.slot[static_cast<size_t>(d)];
+            if (slot < 0) {
+                slot = static_cast<int32_t>(rel.inv_degree.size());
+                rel.inv_degree.push_back(0.0f);
+            }
+            rel.inv_degree[static_cast<size_t>(slot)] += 1.0f;
+        }
+        for (float &d : rel.inv_degree)
+            d = 1.0f / d;
+    }
+
+    for (const auto &layer : layers_) {
+        // Each relation's Linear on its pooled destination rows.
+        for (size_t r = 0; r < kNumRelations; ++r) {
+            const auto &adj = graph.adj[r];
+            if (adj.src.empty())
+                continue;
+            RelationRows &rel = s.rel[r];
+            s.pooled.assign(rel.inv_degree.size() * static_cast<size_t>(dim),
+                            0.0f);
+            if (config_.use_attention)
+                attendInto(*layer.attention[r], adj, rel, dim, s);
+            else
+                meanInto(adj, rel, dim, s);
+            affineInto(*layer.relation[r], s.pooled.data(),
+                       static_cast<int64_t>(rel.inv_degree.size()),
+                       rel.out);
+        }
+        // Row by row: the self Linear plus each relation's output in
+        // relation order (the bias alone off its destinations, which
+        // is what the taped GEMM leaves on an all-zero pooled row),
+        // then the residual over the rectified sum and layer norm.
+        affineInto(*layer.self, h, n, s.sum);
+        for (int64_t i = 0; i < n; ++i) {
+            std::array<const float *, kNumRelations> terms;
+            size_t count = 0;
+            for (size_t r = 0; r < kNumRelations; ++r) {
+                if (graph.adj[r].src.empty())
+                    continue;
+                const RelationRows &rel = s.rel[r];
+                const int32_t slot = rel.slot[static_cast<size_t>(i)];
+                terms[count++] =
+                    slot < 0 ? layer.relation[r]->bias().data().data()
+                             : rel.out.data() + slot * dim;
+            }
+            float *sum = s.sum.data() + i * dim;
+            nn::addRows(sum, terms.data(), count, dim);
+            float *row = h + i * dim;
+            nn::addReluRow(row, sum, dim);
+            nn::layerNormRow(row, row, dim);
+        }
+    }
+
+    // Head MLP on the argument rows, then the sigmoid.
+    const auto args = static_cast<int64_t>(graph.argument_nodes.size());
+    s.head_in.resize(static_cast<size_t>(args * dim));
+    for (int64_t a = 0; a < args; ++a) {
+        const int32_t node = graph.argument_nodes[static_cast<size_t>(a)];
+        SP_ASSERT(node >= 0 && node < n, "argument node out of range");
+        std::copy_n(h + node * dim, dim, s.head_in.data() + a * dim);
+    }
+    const auto &head = head_->layers();
+    for (size_t l = 0; l < head.size(); ++l) {
+        affineInto(head[l], s.head_in.data(), args, s.head_out);
+        if (l + 1 < head.size()) {
+            for (float &v : s.head_out)
+                v = v > 0.0f ? v : 0.0f;
+        }
+        std::swap(s.head_in, s.head_out);
+    }
+    std::vector<float> probs(s.head_in.begin(), s.head_in.end());
+    for (float &p : probs)
+        p = nn::sigmoidOf(p);
+    return probs;
 }
 
 std::vector<std::vector<float>>
@@ -200,10 +436,8 @@ Pmm::predictBatch(
         return results;
     }
 
-    nn::InferenceScope scope;
     const graph::GraphBatch batch = graph::concatGraphs(active);
-    nn::Tensor probs = nn::sigmoid(forward(batch.merged));
-    const std::vector<float> &flat = probs.data();
+    const std::vector<float> flat = predict(batch.merged);
     size_t offset = 0;
     for (size_t b = 0; b < active.size(); ++b) {
         const size_t count = batch.argument_counts[b];

@@ -64,20 +64,22 @@ class Pmm : public nn::Module
                        bool training = false) const;
 
     /**
-     * Sigmoid probabilities per argument node (inference helper).
-     * Runs inside an nn::InferenceScope: no tape, no grad buffers,
-     * and (after the calling thread's arena warms up) no tensor heap
-     * allocation.
+     * Sigmoid probabilities per argument node: the forward pass in one
+     * tape-free pass over thread-local buffers, bit-identical to
+     * sigmoid(forward(graph)). Each relation's pooled messages and
+     * Linear run on its destination rows only; every other row gets
+     * the relation's bias, which is what the taped GEMM leaves on an
+     * all-zero pooled row.
      */
     std::vector<float> predict(const graph::EncodedGraph &graph) const;
 
     /**
      * Batched predict: packs the graphs into one block-diagonal batch
-     * (graph::concatGraphs) so the dense layers run as single GEMMs
-     * over the stacked node-feature matrices, then splits the merged
-     * output back per graph. Message passing stays exact — edges never
-     * cross graph boundaries — so each result matches the unbatched
-     * predict() on the same graph. Graphs with no argument nodes (or
+     * (graph::concatGraphs), runs predict() on it so the dense layers
+     * run as single GEMMs over the stacked node-feature matrices, then
+     * splits the merged output back per graph. Message passing stays
+     * exact — edges never cross graph boundaries — so each result
+     * matches the unbatched predict() on the same graph bit for bit. Graphs with no argument nodes (or
      * no nodes) yield empty vectors, mirroring predict().
      */
     std::vector<std::vector<float>>

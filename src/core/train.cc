@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstring>
 
-#include "nn/inference.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
-#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/timer.h"
 #include "util/logging.h"
@@ -456,9 +454,6 @@ evaluatePmm(const Pmm &model, const Dataset &dataset,
         }
         acc.add(predicted, truthMask(labels));
     }
-    obs::Registry::global()
-        .gauge("infer.arena_hit_ratio")
-        .set(nn::threadArenaStats().hitRatio());
     return acc.finish();
 }
 

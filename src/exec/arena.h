@@ -1,7 +1,6 @@
 /**
  * @file
- * Thread-local per-exec scratch arena (the exec-side sibling of the NN
- * tensor arena, src/nn/inference.h).
+ * Thread-local per-exec scratch arena.
  *
  * Every program execution needs a flattened-slot buffer per call, a
  * return-value table and a block-trace buffer. Allocating them per

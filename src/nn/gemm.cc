@@ -12,11 +12,9 @@ namespace sp::nn {
 
 namespace {
 
-// Panel sizes: a packed B^T panel is at most kColBlock * kRedBlock
-// floats (64 KiB), small enough that it stays cache-resident while
-// every row of A streams past it.
-constexpr int64_t kColBlock = 64;   ///< columns of C per panel
-constexpr int64_t kRedBlock = 256;  ///< reduction elements per panel
+// gemmAcc reduces in slabs of kRedBlock elements: each output adds
+// one dot product per slab, in slab order.
+constexpr int64_t kRedBlock = 256;
 
 // Minimum madds before the row-parallel path is worth a thread spawn.
 constexpr int64_t kParallelWork = int64_t{1} << 21;
@@ -119,44 +117,127 @@ rowIsZero(const float *row, int64_t len)
     return true;
 }
 
+/**
+ * dot() of x against the strided column y[0], y[stride], ...: the
+ * same lanes, reduction tree and serial tail, so the result equals
+ * dot() on a contiguous copy of the column bit for bit.
+ */
+inline float
+dotStrided(const float *x, const float *y, int64_t stride, int64_t len)
+{
+    float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+    int64_t i = 0;
+    for (; i + 4 <= len; i += 4) {
+        a0 += x[i] * y[i * stride];
+        a1 += x[i + 1] * y[(i + 1) * stride];
+        a2 += x[i + 2] * y[(i + 2) * stride];
+        a3 += x[i + 3] * y[(i + 3) * stride];
+    }
+    float acc = (a0 + a2) + (a1 + a3);
+    for (; i < len; ++i)
+        acc += x[i] * y[i * stride];
+    return acc;
+}
+
+#if defined(__SSE2__)
+/**
+ * crow[0, 8) += x · B[:, 0, 8) for one slab, B row-major with row
+ * stride `m`, read in place. Each output column keeps dot()'s four
+ * lane partials (lane l sums i = l mod 4 in increasing i): lane l of
+ * columns 0-3 lives in vector lo_l and of columns 4-7 in hi_l. The
+ * reduction (l0 + l2) + (l1 + l3) and the serial tail are dot()'s
+ * too, so each output gets the same float operations as dot() on a
+ * contiguous copy of its column, with no horizontal sum.
+ */
+inline void
+accColumns8(const float *x, const float *b, int64_t m, int64_t len,
+            float *crow)
+{
+    __m128 lo0 = _mm_setzero_ps(), lo1 = _mm_setzero_ps();
+    __m128 lo2 = _mm_setzero_ps(), lo3 = _mm_setzero_ps();
+    __m128 hi0 = _mm_setzero_ps(), hi1 = _mm_setzero_ps();
+    __m128 hi2 = _mm_setzero_ps(), hi3 = _mm_setzero_ps();
+    int64_t i = 0;
+    for (; i + 4 <= len; i += 4) {
+        const float *b0 = b + i * m;
+        const float *b1 = b0 + m;
+        const float *b2 = b1 + m;
+        const float *b3 = b2 + m;
+        const __m128 x0 = _mm_set1_ps(x[i]);
+        const __m128 x1 = _mm_set1_ps(x[i + 1]);
+        const __m128 x2 = _mm_set1_ps(x[i + 2]);
+        const __m128 x3 = _mm_set1_ps(x[i + 3]);
+        lo0 = _mm_add_ps(lo0, _mm_mul_ps(x0, _mm_loadu_ps(b0)));
+        hi0 = _mm_add_ps(hi0, _mm_mul_ps(x0, _mm_loadu_ps(b0 + 4)));
+        lo1 = _mm_add_ps(lo1, _mm_mul_ps(x1, _mm_loadu_ps(b1)));
+        hi1 = _mm_add_ps(hi1, _mm_mul_ps(x1, _mm_loadu_ps(b1 + 4)));
+        lo2 = _mm_add_ps(lo2, _mm_mul_ps(x2, _mm_loadu_ps(b2)));
+        hi2 = _mm_add_ps(hi2, _mm_mul_ps(x2, _mm_loadu_ps(b2 + 4)));
+        lo3 = _mm_add_ps(lo3, _mm_mul_ps(x3, _mm_loadu_ps(b3)));
+        hi3 = _mm_add_ps(hi3, _mm_mul_ps(x3, _mm_loadu_ps(b3 + 4)));
+    }
+    __m128 lo = _mm_add_ps(_mm_add_ps(lo0, lo2), _mm_add_ps(lo1, lo3));
+    __m128 hi = _mm_add_ps(_mm_add_ps(hi0, hi2), _mm_add_ps(hi1, hi3));
+    for (; i < len; ++i) {
+        const __m128 xi = _mm_set1_ps(x[i]);
+        lo = _mm_add_ps(lo, _mm_mul_ps(xi, _mm_loadu_ps(b + i * m)));
+        hi = _mm_add_ps(hi, _mm_mul_ps(xi, _mm_loadu_ps(b + i * m + 4)));
+    }
+    _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow), lo));
+    _mm_storeu_ps(crow + 4, _mm_add_ps(_mm_loadu_ps(crow + 4), hi));
+}
+
+/** accColumns8 for four columns. */
+inline void
+accColumns4(const float *x, const float *b, int64_t m, int64_t len,
+            float *crow)
+{
+    __m128 l0 = _mm_setzero_ps(), l1 = _mm_setzero_ps();
+    __m128 l2 = _mm_setzero_ps(), l3 = _mm_setzero_ps();
+    int64_t i = 0;
+    for (; i + 4 <= len; i += 4) {
+        const float *b0 = b + i * m;
+        l0 = _mm_add_ps(l0, _mm_mul_ps(_mm_set1_ps(x[i]),
+                                       _mm_loadu_ps(b0)));
+        l1 = _mm_add_ps(l1, _mm_mul_ps(_mm_set1_ps(x[i + 1]),
+                                       _mm_loadu_ps(b0 + m)));
+        l2 = _mm_add_ps(l2, _mm_mul_ps(_mm_set1_ps(x[i + 2]),
+                                       _mm_loadu_ps(b0 + 2 * m)));
+        l3 = _mm_add_ps(l3, _mm_mul_ps(_mm_set1_ps(x[i + 3]),
+                                       _mm_loadu_ps(b0 + 3 * m)));
+    }
+    __m128 acc = _mm_add_ps(_mm_add_ps(l0, l2), _mm_add_ps(l1, l3));
+    for (; i < len; ++i)
+        acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(x[i]),
+                                         _mm_loadu_ps(b + i * m)));
+    _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow), acc));
+}
+#endif
+
 void
 gemmAccRows(const float *a, const float *b, float *c, int64_t n,
             int64_t k, int64_t m)
 {
-    thread_local std::vector<float> pack;
-    for (int64_t j0 = 0; j0 < m; j0 += kColBlock) {
-        const int64_t jb = std::min(kColBlock, m - j0);
+    for (int64_t i = 0; i < n; ++i) {
+        float *crow = c + i * m;
         for (int64_t k0 = 0; k0 < k; k0 += kRedBlock) {
             const int64_t kb = std::min(kRedBlock, k - k0);
-            pack.resize(static_cast<size_t>(jb * kb));
-            float *p = pack.data();
-            for (int64_t j = 0; j < jb; ++j)
-                for (int64_t kk = 0; kk < kb; ++kk)
-                    p[j * kb + kk] = b[(k0 + kk) * m + j0 + j];
-            for (int64_t i = 0; i < n; ++i) {
-                const float *arow = a + i * k + k0;
-                // Skip all-zero rows: their contribution is exactly
-                // 0.0, so C is unchanged either way. GNN relation
-                // aggregation produces mostly-zero pooled matrices
-                // (only edge destinations have mass), making this the
-                // dominant saving on the inference hot path.
-                if (rowIsZero(arow, kb))
-                    continue;
-                float *crow = c + i * m + j0;
-                int64_t j = 0;
-                for (; j + 4 <= jb; j += 4) {
-                    const float *pj = p + j * kb;
-                    float r[4];
-                    dot4(arow, pj, pj + kb, pj + 2 * kb, pj + 3 * kb,
-                         kb, r);
-                    crow[j] += r[0];
-                    crow[j + 1] += r[1];
-                    crow[j + 2] += r[2];
-                    crow[j + 3] += r[3];
-                }
-                for (; j < jb; ++j)
-                    crow[j] += dot(arow, p + j * kb, kb);
-            }
+            const float *arow = a + i * k + k0;
+            // Skip all-zero rows: their contribution is exactly 0.0,
+            // so C is unchanged either way. GNN relation aggregation
+            // produces pooled rows with no mass off edge destinations.
+            if (rowIsZero(arow, kb))
+                continue;
+            const float *bslab = b + k0 * m;
+            int64_t j = 0;
+#if defined(__SSE2__)
+            for (; j + 8 <= m; j += 8)
+                accColumns8(arow, bslab + j, m, kb, crow + j);
+            for (; j + 4 <= m; j += 4)
+                accColumns4(arow, bslab + j, m, kb, crow + j);
+#endif
+            for (; j < m; ++j)
+                crow[j] += dotStrided(arow, bslab + j, m, kb);
         }
     }
 }
@@ -186,6 +267,15 @@ gemmAccTransBRows(const float *g, const float *b, float *c, int64_t n,
     }
 }
 
+/** Threads a large multiply splits across (read once: the query is slow). */
+unsigned
+gemmThreads()
+{
+    static const unsigned threads =
+        std::min(std::thread::hardware_concurrency(), kMaxThreads);
+    return threads;
+}
+
 /**
  * Run fn(row_begin, row_end) over [0, n), split across threads when
  * `work` (total madds) is large enough; serial otherwise.
@@ -194,13 +284,12 @@ template <typename Fn>
 void
 forRowSlices(int64_t n, int64_t work, Fn fn)
 {
-    unsigned threads = std::thread::hardware_concurrency();
-    threads = std::min(threads, kMaxThreads);
-    if (work < kParallelWork || threads < 2 || n < 2) {
+    // The size test comes first: most calls are small.
+    if (work < kParallelWork || n < 2 || gemmThreads() < 2) {
         fn(0, n);
         return;
     }
-    const int64_t slices = std::min<int64_t>(threads, n);
+    const int64_t slices = std::min<int64_t>(gemmThreads(), n);
     const int64_t per = (n + slices - 1) / slices;
     std::vector<std::thread> pool;
     pool.reserve(static_cast<size_t>(slices - 1));

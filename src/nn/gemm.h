@@ -9,10 +9,14 @@
  *   gemmAccTransB  C[n,k] += G[n,m]  * B[k,m]^T
  *   gemmAccTransA  C[k,m] += A[n,k]^T * G[n,m]
  *
- * gemmAcc packs panels of B transposed into a thread-local scratch
- * buffer so the inner loop is a contiguous dot product, blocked over
- * columns and the reduction dimension to keep the active panel in L1.
- * gemmAccTransB needs no packing at all: with B row-major, both
+ * gemmAcc reads B row-major in place and vectorizes over output
+ * columns: eight (then four) columns of one output row accumulate
+ * side by side, with each column's dot product split into the same
+ * four lanes, reduction tree and serial tail as a scalar dot(), so
+ * every output is the same float arithmetic whichever path computes
+ * it. The reduction runs in slabs of 256 elements, and an all-zero
+ * slab of an A row is skipped (it would add exactly 0).
+ * gemmAccTransB runs plain dot products: with B row-major, both
  * operands of its dot product are already contiguous. gemmAccTransA is
  * an outer-product accumulation whose inner loop streams rows of G.
  *

@@ -69,6 +69,8 @@ class Linear : public Module
 
     int64_t inFeatures() const { return in_; }
     int64_t outFeatures() const { return out_; }
+    const Tensor &weight() const { return weight_; }  ///< [in, out]
+    const Tensor &bias() const { return bias_; }      ///< [out]
 
   private:
     int64_t in_;
@@ -94,6 +96,7 @@ class Embedding : public Module
 
     int64_t vocab() const { return vocab_; }
     int64_t dim() const { return dim_; }
+    const Tensor &table() const { return table_; }  ///< [vocab, dim]
 
   private:
     int64_t vocab_;
@@ -116,6 +119,8 @@ class Mlp : public Module
 
     /** Apply to a [n, dims.front()] matrix. */
     Tensor forward(const Tensor &x) const;
+
+    const std::vector<Linear> &layers() const { return layers_; }
 
   private:
     std::vector<Linear> layers_;

@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "nn/gemm.h"
-#include "nn/inference.h"
+#include "nn/rows.h"
 #include "obs/timer.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -14,20 +14,9 @@ namespace sp::nn {
 
 namespace {
 
-// `zero` false skips the data fill for ops that overwrite every
-// element; only the arena-reuse path actually has stale bytes to
-// skip (a fresh heap vector zero-fills regardless).
 std::shared_ptr<TensorNode>
-makeNode(int64_t rows, int64_t cols, bool requires_grad,
-         bool zero = true)
+makeNode(int64_t rows, int64_t cols, bool requires_grad)
 {
-    // Forward-only nodes come from the thread's arena inside an
-    // InferenceScope; explicitly grad-tracking tensors (parameters)
-    // always take the heap path.
-    if (!requires_grad) {
-        if (TensorArena *arena = activeArena())
-            return arena->allocate(rows, cols, zero);
-    }
     auto node = std::make_shared<TensorNode>();
     node->rows = rows;
     node->cols = cols;
@@ -38,21 +27,15 @@ makeNode(int64_t rows, int64_t cols, bool requires_grad,
     return node;
 }
 
-// Result node whose requires_grad is the OR of its parents'. In
-// inference mode no tape is built: the node never requires grad and
-// records neither parents nor (at the op sites, which all check
-// out->requires_grad) a backward closure.
+// Result node whose requires_grad is the OR of its parents'.
 std::shared_ptr<TensorNode>
 makeResult(int64_t rows, int64_t cols,
-           std::vector<std::shared_ptr<TensorNode>> parents,
-           bool zero = true)
+           std::vector<std::shared_ptr<TensorNode>> parents)
 {
-    if (inInferenceMode())
-        return makeNode(rows, cols, false, zero);
     bool needs = false;
     for (const auto &p : parents)
         needs |= p->requires_grad;
-    auto node = makeNode(rows, cols, needs, zero);
+    auto node = makeNode(rows, cols, needs);
     node->parents = std::move(parents);
     return node;
 }
@@ -162,8 +145,7 @@ Tensor::backward()
                  static_cast<long long>(node_->cols));
     }
     if (!node_->requires_grad) {
-        SP_PANIC("backward() on a tensor that does not require grad "
-                 "(inside an InferenceScope no tape is recorded)");
+        SP_PANIC("backward() on a tensor that does not require grad");
     }
 
     // Reverse-topological order by iterative DFS.
@@ -241,8 +223,7 @@ affine(const Tensor &a, const Tensor &w, const Tensor &b)
     SP_ASSERT(!b.isMatrix() && b.rows() == w.cols(),
               "affine bias shape mismatch");
     const int64_t n = a.rows(), k = a.cols(), m = w.cols();
-    auto out = makeResult(n, m, {a.node(), w.node(), b.node()},
-                          /*zero=*/false);
+    auto out = makeResult(n, m, {a.node(), w.node(), b.node()});
     // Seed every output row with the bias, then accumulate the
     // product on top: bias + dot == dot + bias exactly.
     for (int64_t i = 0; i < n; ++i)
@@ -290,10 +271,8 @@ segmentMeanRows(const Tensor &a, const std::vector<int32_t> &src,
     const auto edges = static_cast<int64_t>(src.size());
     auto out = makeResult(out_rows, m, {a.node()});
 
-    // In-degree reciprocals; thread-local so steady-state inference
-    // passes stay allocation-free.
-    thread_local std::vector<float> inv_degree;
-    inv_degree.assign(static_cast<size_t>(out_rows), 0.0f);
+    // In-degree reciprocals.
+    std::vector<float> inv_degree(static_cast<size_t>(out_rows), 0.0f);
     for (int32_t d : dst) {
         SP_ASSERT(d >= 0 && d < out_rows,
                   "segmentMeanRows dst out of range");
@@ -324,8 +303,8 @@ segmentMeanRows(const Tensor &a, const std::vector<int32_t> &src,
         auto on = out.get();
         auto src_idx = src;
         auto dst_idx = dst;
-        auto inv = inv_degree;  // captured by value for the tape
-        out->backward_fn = [an, on, src_idx, dst_idx, inv, edges, m] {
+        out->backward_fn = [an, on, src_idx, dst_idx,
+                            inv = std::move(inv_degree), edges, m] {
             for (int64_t e = 0; e < edges; ++e) {
                 const float scale =
                     inv[static_cast<size_t>(dst_idx[e])];
@@ -348,8 +327,7 @@ elementwiseBinary(const Tensor &a, const Tensor &b, Fwd fwd, BwdA bwd_a,
                   BwdB bwd_b)
 {
     checkSameShape(a, b);
-    auto out = makeResult(a.rows(), a.cols(), {a.node(), b.node()},
-                          /*zero=*/false);
+    auto out = makeResult(a.rows(), a.cols(), {a.node(), b.node()});
     const size_t n = out->data.size();
     for (size_t i = 0; i < n; ++i)
         out->data[i] = fwd(a.data()[i], b.data()[i]);
@@ -375,8 +353,7 @@ template <typename Fwd, typename BwdFromOut>
 Tensor
 elementwiseUnary(const Tensor &a, Fwd fwd, BwdFromOut bwd)
 {
-    auto out = makeResult(a.rows(), a.cols(), {a.node()},
-                          /*zero=*/false);
+    auto out = makeResult(a.rows(), a.cols(), {a.node()});
     const size_t n = out->data.size();
     for (size_t i = 0; i < n; ++i)
         out->data[i] = fwd(a.data()[i]);
@@ -426,7 +403,7 @@ addRowVec(const Tensor &a, const Tensor &b)
     SP_ASSERT(a.isMatrix() && !b.isMatrix() && b.rows() == a.cols(),
               "addRowVec shape mismatch");
     const int64_t n = a.rows(), m = a.cols();
-    auto out = makeResult(n, m, {a.node(), b.node()}, /*zero=*/false);
+    auto out = makeResult(n, m, {a.node(), b.node()});
     for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < m; ++j)
             out->data[i * m + j] = a.data()[i * m + j] + b.data()[j];
@@ -453,7 +430,7 @@ mulRowVec(const Tensor &a, const Tensor &b)
     SP_ASSERT(a.isMatrix() && !b.isMatrix() && b.rows() == a.cols(),
               "mulRowVec shape mismatch");
     const int64_t n = a.rows(), m = a.cols();
-    auto out = makeResult(n, m, {a.node(), b.node()}, /*zero=*/false);
+    auto out = makeResult(n, m, {a.node(), b.node()});
     for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < m; ++j)
             out->data[i * m + j] = a.data()[i * m + j] * b.data()[j];
@@ -502,12 +479,7 @@ Tensor
 sigmoid(const Tensor &a)
 {
     return elementwiseUnary(
-        a,
-        [](float x) {
-            return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                             : std::exp(x) / (1.0f + std::exp(x));
-        },
-        [](float y) { return y * (1.0f - y); });
+        a, sigmoidOf, [](float y) { return y * (1.0f - y); });
 }
 
 Tensor
@@ -516,7 +488,7 @@ gatherRows(const Tensor &a, const std::vector<int32_t> &index)
     SP_ASSERT(a.isMatrix());
     const int64_t m = a.cols();
     const int64_t n = static_cast<int64_t>(index.size());
-    auto out = makeResult(n, m, {a.node()}, /*zero=*/false);
+    auto out = makeResult(n, m, {a.node()});
     for (int64_t i = 0; i < n; ++i) {
         SP_ASSERT(index[i] >= 0 && index[i] < a.rows(),
                   "gatherRows index out of range");
@@ -579,7 +551,7 @@ rowScale(const Tensor &a, const std::vector<float> &scales)
     SP_ASSERT(a.isMatrix());
     SP_ASSERT(static_cast<int64_t>(scales.size()) == a.rows());
     const int64_t n = a.rows(), m = a.cols();
-    auto out = makeResult(n, m, {a.node()}, /*zero=*/false);
+    auto out = makeResult(n, m, {a.node()});
     for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < m; ++j)
             out->data[i * m + j] = a.data()[i * m + j] * scales[i];
@@ -602,7 +574,7 @@ rowScaleT(const Tensor &a, const Tensor &v)
     SP_ASSERT(a.isMatrix() && !v.isMatrix() && v.rows() == a.rows(),
               "rowScaleT shape mismatch");
     const int64_t n = a.rows(), m = a.cols();
-    auto out = makeResult(n, m, {a.node(), v.node()}, /*zero=*/false);
+    auto out = makeResult(n, m, {a.node(), v.node()});
     for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < m; ++j)
             out->data[i * m + j] = a.data()[i * m + j] * v.data()[i];
@@ -639,14 +611,12 @@ segmentSoftmax(const Tensor &scores, const std::vector<int32_t> &segment,
     SP_ASSERT(!scores.isMatrix());
     const auto n = static_cast<size_t>(scores.rows());
     SP_ASSERT(segment.size() == n);
-    auto out = makeResult(static_cast<int64_t>(n), 0, {scores.node()},
-                          /*zero=*/false);
+    auto out = makeResult(static_cast<int64_t>(n), 0, {scores.node()});
 
     // Per-segment max for stability, then exp and per-segment sum.
-    // Thread-local scratch: reused across calls so repeated inference
-    // passes stay allocation-free.
-    thread_local std::vector<float> seg_max, seg_sum;
-    seg_max.assign(static_cast<size_t>(num_segments), -3.4e38f);
+    std::vector<float> seg_max(static_cast<size_t>(num_segments),
+                               -3.4e38f);
+    std::vector<float> seg_sum;
     for (size_t i = 0; i < n; ++i) {
         SP_ASSERT(segment[i] >= 0 && segment[i] < num_segments);
         seg_max[static_cast<size_t>(segment[i])] =
@@ -698,7 +668,7 @@ concatCols(const std::vector<Tensor> &parts)
         total_cols += p.cols();
         parents.push_back(p.node());
     }
-    auto out = makeResult(n, total_cols, parents, /*zero=*/false);
+    auto out = makeResult(n, total_cols, parents);
     int64_t offset = 0;
     for (const auto &p : parts) {
         const int64_t m = p.cols();
@@ -743,7 +713,7 @@ concatRows(const std::vector<Tensor> &parts)
         total_rows += p.rows();
         parents.push_back(p.node());
     }
-    auto out = makeResult(total_rows, m, parents, /*zero=*/false);
+    auto out = makeResult(total_rows, m, parents);
     int64_t row = 0;
     for (const auto &p : parts) {
         std::copy(p.data().begin(), p.data().end(),
@@ -773,29 +743,16 @@ layerNormRows(const Tensor &a, float eps)
 {
     SP_ASSERT(a.isMatrix());
     const int64_t n = a.rows(), m = a.cols();
-    auto out = makeResult(n, m, {a.node()}, /*zero=*/false);
-    // inv_std is only kept for the backward pass; inference-mode
-    // forwards skip the allocation entirely.
+    auto out = makeResult(n, m, {a.node()});
+    // inv_std is only kept for the backward pass.
     std::vector<float> inv_std;
     if (out->requires_grad)
         inv_std.resize(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) {
-        const float *row = a.data().data() + i * m;
-        float mean = 0.0f;
-        for (int64_t j = 0; j < m; ++j)
-            mean += row[j];
-        mean /= static_cast<float>(m);
-        float var = 0.0f;
-        for (int64_t j = 0; j < m; ++j) {
-            float d = row[j] - mean;
-            var += d * d;
-        }
-        var /= static_cast<float>(m);
-        const float is = 1.0f / std::sqrt(var + eps);
+        const float is = layerNormRow(a.data().data() + i * m,
+                                      out->data.data() + i * m, m, eps);
         if (!inv_std.empty())
             inv_std[static_cast<size_t>(i)] = is;
-        for (int64_t j = 0; j < m; ++j)
-            out->data[i * m + j] = (row[j] - mean) * is;
     }
     if (out->requires_grad) {
         auto an = a.node();
@@ -827,7 +784,7 @@ softmaxRows(const Tensor &a)
 {
     SP_ASSERT(a.isMatrix());
     const int64_t n = a.rows(), m = a.cols();
-    auto out = makeResult(n, m, {a.node()}, /*zero=*/false);
+    auto out = makeResult(n, m, {a.node()});
     for (int64_t i = 0; i < n; ++i) {
         const float *row = a.data().data() + i * m;
         float mx = row[0];
@@ -864,7 +821,7 @@ softmaxRows(const Tensor &a)
 Tensor
 flatten(const Tensor &a)
 {
-    auto out = makeResult(a.numel(), 0, {a.node()}, /*zero=*/false);
+    auto out = makeResult(a.numel(), 0, {a.node()});
     out->data = a.data();
     if (out->requires_grad) {
         auto an = a.node();
@@ -1017,8 +974,7 @@ dropout(const Tensor &a, float p, Rng &rng, bool training)
     if (!training || p <= 0.0f)
         return a;
     SP_ASSERT(p < 1.0f, "dropout probability must be < 1");
-    auto out = makeResult(a.rows(), a.cols(), {a.node()},
-                          /*zero=*/false);
+    auto out = makeResult(a.rows(), a.cols(), {a.node()});
     const size_t n = out->data.size();
     std::vector<float> mask(n);
     const float keep_scale = 1.0f / (1.0f - p);

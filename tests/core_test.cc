@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <unordered_set>
 
 #include "core/dataset.h"
@@ -135,34 +137,75 @@ TEST(Pmm, ForwardShapesAndDeterminism)
     }
 }
 
+uint32_t
+bitsOf(float v)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+// Widths that are not multiples of 8, so the 4-wide and scalar column
+// tails of the GEMM and the row kernels run (dim 22 = 8 + 8 + 4 + 2,
+// head_hidden 12 = 8 + 4, and a token projection reducing over
+// 6 * 10 = 60).
+PmmConfig
+oddWidthConfig(bool attention)
+{
+    PmmConfig config;
+    config.dim = 22;
+    config.token_dim = 6;
+    config.head_hidden = 12;
+    config.use_attention = attention;
+    return config;
+}
+
+// A fresh Linear has zero biases, which would hide a pass that drops a
+// relation's bias; give every parameter a seeded random value instead.
+void
+randomizeParameters(Pmm &model, uint64_t seed)
+{
+    Rng rng(seed);
+    for (const auto &p : model.parameters()) {
+        nn::Tensor tensor = p.tensor;
+        for (float &v : tensor.mutableData())
+            v = static_cast<float>(rng.gaussian()) * 0.3f;
+    }
+}
+
 TEST(Pmm, PredictMatchesTrainingModeForward)
 {
-    // Regression for the inference fast path: arena allocation, the
-    // no-tape mode and the fused/blocked kernels must not change the
-    // numbers relative to a tape-building forward pass.
+    // The tape-free predict() must be the taped forward bit for bit:
+    // same embedding sums, GEMM reduction order, destination-row
+    // aggregation, layer norms and head, for both aggregations.
     const auto &dataset = smallDataset();
-    PmmConfig config;
-    config.dim = 16;
-    config.token_dim = 8;
-    Pmm model(config);
-
-    auto [graph, labels] = materializeExample(dataset,
-                                              dataset.train.front());
-    nn::Tensor taped = nn::sigmoid(model.forward(graph));
-    auto fast = model.predict(graph);
-    ASSERT_EQ(fast.size(), taped.data().size());
-    for (size_t i = 0; i < fast.size(); ++i)
-        EXPECT_NEAR(fast[i], taped.data()[i], 1e-6f) << i;
+    const size_t count = std::min<size_t>(24, dataset.train.size());
+    ASSERT_GE(count, 20u);
+    for (bool attention : {false, true}) {
+        for (PmmConfig config : {oddWidthConfig(attention), PmmConfig{}}) {
+            config.use_attention = attention;
+            Pmm model(config);
+            randomizeParameters(model, 17);
+            for (size_t g = 0; g < count; ++g) {
+                auto [graph, labels] =
+                    materializeExample(dataset, dataset.train[g]);
+                nn::Tensor taped = nn::sigmoid(model.forward(graph));
+                auto fast = model.predict(graph);
+                ASSERT_EQ(fast.size(), taped.data().size());
+                for (size_t i = 0; i < fast.size(); ++i) {
+                    ASSERT_EQ(bitsOf(fast[i]), bitsOf(taped.data()[i]))
+                        << "attention " << attention << " dim "
+                        << config.dim << " graph " << g << " arg " << i
+                        << ": " << fast[i] << " vs " << taped.data()[i];
+                }
+            }
+        }
+    }
 }
 
 TEST(Pmm, PredictBatchMatchesIndividualPredictions)
 {
     const auto &dataset = smallDataset();
-    PmmConfig config;
-    config.dim = 16;
-    config.token_dim = 8;
-    Pmm model(config);
-
     std::vector<graph::EncodedGraph> graphs;
     for (size_t i = 0; i < std::min<size_t>(5, dataset.train.size());
          ++i) {
@@ -174,21 +217,24 @@ TEST(Pmm, PredictBatchMatchesIndividualPredictions)
     std::vector<const graph::EncodedGraph *> pointers;
     for (const auto &g : graphs)
         pointers.push_back(&g);
-    auto batched = model.predictBatch(pointers);
-    ASSERT_EQ(batched.size(), graphs.size());
-    for (size_t i = 0; i < graphs.size(); ++i) {
-        auto individual = model.predict(graphs[i]);
-        ASSERT_EQ(batched[i].size(), individual.size()) << "graph " << i;
-        for (size_t j = 0; j < individual.size(); ++j) {
-            // Block-diagonal batching is per-row exact: 1e-4 is the
-            // acceptance bound, but equality should hold bitwise.
-            EXPECT_NEAR(batched[i][j], individual[j], 1e-4f)
-                << "graph " << i << " arg " << j;
-            EXPECT_FLOAT_EQ(batched[i][j], individual[j])
-                << "graph " << i << " arg " << j;
+    for (bool attention : {false, true}) {
+        Pmm model(oddWidthConfig(attention));
+        randomizeParameters(model, 23);
+        auto batched = model.predictBatch(pointers);
+        ASSERT_EQ(batched.size(), graphs.size());
+        for (size_t i = 0; i < graphs.size(); ++i) {
+            auto individual = model.predict(graphs[i]);
+            ASSERT_EQ(batched[i].size(), individual.size())
+                << "graph " << i;
+            // Block-diagonal batching is per-row exact.
+            for (size_t j = 0; j < individual.size(); ++j) {
+                EXPECT_EQ(bitsOf(batched[i][j]), bitsOf(individual[j]))
+                    << "attention " << attention << " graph " << i
+                    << " arg " << j;
+            }
         }
+        EXPECT_TRUE(batched.back().empty());
     }
-    EXPECT_TRUE(batched.back().empty());
 }
 
 TEST(Pmm, GradientsReachEveryParameter)

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
-#include "nn/inference.h"
+#include "nn/gemm.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
 
@@ -378,7 +381,7 @@ TEST(Tensor, ChainedGraphGradient)
 }
 
 // ---------------------------------------------------------------------
-// Blocked-GEMM regression: the packed/blocked kernels must agree with a
+// Blocked-GEMM regression: the GEMM kernels must agree with a
 // naive triple loop on every shape class, including shapes that do not
 // divide the block sizes and degenerate single-row/column cases.
 // ---------------------------------------------------------------------
@@ -419,7 +422,7 @@ TEST(Tensor, BlockedMatmulMatchesNaiveReference)
 {
     Rng rng(1234);
     // {n, k, m}: block multiples, odd primes, degenerate rows/cols,
-    // shapes larger than one column block (kColBlock = 64).
+    // wide outputs and a two-slab reduction.
     const int64_t shapes[][3] = {
         {1, 1, 1},  {1, 7, 1},   {7, 1, 3},    {1, 40, 40},
         {5, 3, 2},  {33, 17, 9}, {131, 40, 40}, {64, 64, 64},
@@ -496,6 +499,82 @@ TEST(Tensor, BlockedMatmulGradientsMatchNaiveReference)
     }
 }
 
+namespace {
+
+uint32_t
+bitsOf(float v)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+// gemmAcc's contract per output, written out scalar: per 256-element
+// slab of the reduction (skipped when that slab of the A row is all
+// zero), a dot product split into four lanes (lane l sums the products
+// with index l mod 4 in increasing order), reduced as
+// (l0 + l2) + (l1 + l3), then the remainder added serially.
+void
+laneOrderGemmAcc(const std::vector<float> &a, const std::vector<float> &b,
+                 std::vector<float> &c, int64_t n, int64_t k, int64_t m)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        for (int64_t k0 = 0; k0 < k; k0 += 256) {
+            const int64_t kb = std::min<int64_t>(256, k - k0);
+            const float *x = a.data() + i * k + k0;
+            bool zero = true;
+            for (int64_t t = 0; t < kb; ++t)
+                zero &= x[t] == 0.0f;
+            if (zero)
+                continue;
+            for (int64_t j = 0; j < m; ++j) {
+                const float *y = b.data() + k0 * m + j;
+                float lane[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+                int64_t t = 0;
+                for (; t + 4 <= kb; t += 4)
+                    for (int64_t l = 0; l < 4; ++l)
+                        lane[l] += x[t + l] * y[(t + l) * m];
+                float acc = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+                for (; t < kb; ++t)
+                    acc += x[t] * y[t * m];
+                c[static_cast<size_t>(i * m + j)] += acc;
+            }
+        }
+    }
+}
+
+}  // namespace
+
+TEST(Gemm, AccMatchesLaneOrderReferenceBitwise)
+{
+    Rng rng(2024);
+    const int64_t n = 9;
+    for (int64_t m : {1, 4, 12, 13, 40}) {
+        for (int64_t k : {3, 40, 120, 300}) {
+            auto av = randomValues(rng, static_cast<size_t>(n * k),
+                                   /*with_zero_rows=*/true, k);
+            // Row 1 of the two-slab shape: zero second slab only.
+            if (k > 256)
+                std::fill(av.begin() + k + 256, av.begin() + 2 * k, 0.0f);
+            const auto bv = randomValues(rng, static_cast<size_t>(k * m),
+                                         /*with_zero_rows=*/false, 0);
+            // A seeded C with negative zeros: a skipped zero slab must
+            // leave them, an added one would turn them into +0.
+            auto cv = randomValues(rng, static_cast<size_t>(n * m),
+                                   /*with_zero_rows=*/false, 0);
+            for (size_t e = 0; e < cv.size(); e += 3)
+                cv[e] = -0.0f;
+            std::vector<float> expected = cv;
+            laneOrderGemmAcc(av, bv, expected, n, k, m);
+            gemmAcc(av.data(), bv.data(), cv.data(), n, k, m);
+            for (size_t e = 0; e < cv.size(); ++e) {
+                ASSERT_EQ(bitsOf(cv[e]), bitsOf(expected[e]))
+                    << "m " << m << " k " << k << " element " << e;
+            }
+        }
+    }
+}
+
 TEST(Tensor, AffineMatchesMatmulPlusBias)
 {
     Rng rng(7);
@@ -558,54 +637,6 @@ TEST(Tensor, SegmentMeanRowsMatchesUnfusedChain)
     }
 }
 
-// ---------------------------------------------------------------------
-// Inference mode: no tape, no grad buffers, and a stable arena.
-// ---------------------------------------------------------------------
-
-TEST(Tensor, InferenceModeRecordsNoTape)
-{
-    Rng rng(3);
-    Tensor w = Tensor::randn(rng, 4, 4, 0.5f);  // parameter (grad)
-    Tensor b = Tensor::zerosVec(4, /*requires_grad=*/true);
-    InferenceScope scope;
-    Tensor x = Tensor::fromMatrix(
-        {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 3, 4);
-    Tensor out = relu(affine(x, w, b));
-    EXPECT_FALSE(out.requiresGrad());
-    EXPECT_TRUE(out.node()->parents.empty());
-    EXPECT_FALSE(static_cast<bool>(out.node()->backward_fn));
-    EXPECT_TRUE(out.node()->grad.empty());
-}
-
-TEST(Tensor, InferenceArenaStableAcross100Passes)
-{
-    Rng rng(11);
-    Tensor w = Tensor::randn(rng, 16, 16, 0.1f);
-    Tensor b = Tensor::zerosVec(16, /*requires_grad=*/true);
-    std::vector<float> xs(8 * 16);
-    for (auto &v : xs)
-        v = static_cast<float>(rng.gaussian());
-
-    auto passOnce = [&] {
-        InferenceScope scope;
-        Tensor x = Tensor::fromMatrix(xs, 8, 16);
-        Tensor h = layerNormRows(relu(affine(x, w, b)));
-        return sumAll(h).item();
-    };
-    passOnce();
-    passOnce();  // warm-up: arena now holds every node the pass needs
-    const ArenaStats warm = threadArenaStats();
-    const float first = passOnce();
-    for (int i = 0; i < 99; ++i)
-        EXPECT_FLOAT_EQ(passOnce(), first) << "pass " << i;
-    const ArenaStats after = threadArenaStats();
-    // Zero tape growth and zero heap growth: every node of every pass
-    // was served from the free list, and the arena did not grow.
-    EXPECT_EQ(after.misses, warm.misses);
-    EXPECT_EQ(after.pooled + after.live, warm.pooled + warm.live);
-    EXPECT_GT(after.hits, warm.hits);
-}
-
 TEST(Tensor, DeepChainBackwardDoesNotRecurse)
 {
     // 20k-node chain: a recursive topological sort would overflow the
@@ -624,16 +655,6 @@ TEST(TensorDeathTest, BackwardOnNonScalarLossPanics)
                                   /*requires_grad=*/true);
     Tensor y = relu(x);
     EXPECT_DEATH(y.backward(), "scalar loss");
-}
-
-TEST(TensorDeathTest, BackwardInsideInferenceScopePanics)
-{
-    Tensor w = Tensor::fromMatrix({1, 0, 0, 1}, 2, 2,
-                                  /*requires_grad=*/true);
-    InferenceScope scope;
-    Tensor x = Tensor::fromMatrix({1, 2, 3, 4}, 2, 2);
-    Tensor loss = sumAll(matmul(x, w));
-    EXPECT_DEATH(loss.backward(), "not require grad");
 }
 
 TEST(Tensor, SegmentMeanRowsGradient)
